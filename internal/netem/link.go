@@ -41,18 +41,17 @@ type Link struct {
 	// after the transmission delay. Created once per link, re-armed per
 	// packet with no allocation.
 	txTimer *sim.Timer
-	// flightFree recycles in-flight delivery records (packet + flap
-	// snapshot + delivery timer). The pool's depth is bounded by the
-	// link's bandwidth-delay product in packets.
-	flightFree *flight
+	// wire is the delay line, created on the link's first transmit so
+	// idle links cost one nil pointer.
+	wire *delayLine
 
 	// down marks a failed link: nothing serializes while set, and every
 	// packet on the wire when the failure began is lost.
 	down bool
-	// flaps counts SetDown(true) transitions; in-flight deliveries
-	// compare it against its value at transmission time, so a packet
-	// that was on the wire across a flap is dropped even if the link is
-	// back up when it would have arrived.
+	// flaps counts SetDown(true) transitions; each wire entry keeps its
+	// value at transmission time, so a packet that was on the wire
+	// across a flap is dropped at its arrival instant even if the link
+	// is back up by then.
 	flaps uint64
 
 	bus  *telemetry.Bus
@@ -222,7 +221,7 @@ func (l *Link) transmitNext() {
 	txDelay := l.TransmissionDelay(p.Size)
 	l.TxPackets++
 	l.TxBytes += uint64(p.Size)
-	sim.CountPackets(1)
+	l.sched.CountPacket()
 	if l.bus.Enabled() {
 		l.bus.Publish(telemetry.Event{
 			At:   l.sched.Now(),
@@ -236,55 +235,40 @@ func (l *Link) transmitNext() {
 		})
 	}
 	// The packet leaves the queue now and arrives after tx+prop delay;
-	// the link is free to start the next packet after tx delay alone. A
-	// packet on the wire across a carrier loss never arrives: the flap
-	// counter at transmission time is compared at delivery time. The
-	// delivery timer must be armed before the serialization timer so
-	// simultaneous firings keep the historical order (delivery first).
-	f := l.getFlight()
-	f.p = p
-	f.flapsAtTx = l.flaps
-	f.timer.Reset(txDelay + l.Delay)
+	// the link is free to start the next packet after tx delay alone.
+	// Its delivery key is reserved before the serialization timer is
+	// re-armed, so simultaneous firings keep the historical order
+	// (delivery first).
+	if l.wire == nil {
+		l.wire = &delayLine{timer: l.sched.NewTimer(l.deliver)}
+	}
+	e := wireEntry{
+		at:    l.sched.Now() + txDelay + l.Delay,
+		seq:   l.sched.ReserveSeq(),
+		flaps: l.flaps,
+		p:     p,
+	}
+	if l.wire.insert(e) {
+		l.wire.timer.AtSeq(e.at, e.seq) //nolint:errcheck // e.at >= now
+	}
 	l.txTimer.Reset(txDelay)
 }
 
-// flight is one packet on the wire: the delivery timer plus the state
-// its expiry needs. Flight records are pooled per link, and each owns
-// its timer (and the one handler closure binding them) for its whole
-// pooled lifetime, so steady-state transmission allocates nothing.
-type flight struct {
-	l         *Link
-	p         *Packet
-	flapsAtTx uint64
-	timer     *sim.Timer
-	next      *flight
-}
-
-func (l *Link) getFlight() *flight {
-	f := l.flightFree
-	if f == nil {
-		f = &flight{l: l}
-		f.timer = l.sched.NewTimer(f.deliver)
-		return f
+// deliver fires at the head packet's arrival. The next head is armed
+// before the downstream Receive so a re-entrant transmit on this link
+// sees a consistent delay line.
+func (l *Link) deliver() {
+	w := l.wire
+	e := w.pop()
+	if w.n > 0 {
+		next := w.front()
+		w.timer.AtSeq(next.at, next.seq) //nolint:errcheck // the ring is in arrival order
 	}
-	l.flightFree = f.next
-	f.next = nil
-	return f
-}
-
-// deliver fires when the packet finishes propagating. The flight record
-// is recycled before the downstream Receive so a re-entrant transmit
-// can reuse it immediately.
-func (f *flight) deliver() {
-	l, p, flapsAtTx := f.l, f.p, f.flapsAtTx
-	f.p = nil
-	f.next = l.flightFree
-	l.flightFree = f
-	if l.flaps != flapsAtTx {
-		l.dropInFlight(p)
+	if l.flaps != e.flaps {
+		l.dropInFlight(e.p)
 		return
 	}
-	l.Dst.Receive(p)
+	l.Dst.Receive(e.p)
 }
 
 // dropInFlight accounts for a wire packet lost to a link flap.
@@ -302,6 +286,78 @@ func (l *Link) dropInFlight(p *Packet) {
 		})
 	}
 	p.Release()
+}
+
+// wireEntry is one packet on the wire, keyed by its delivery event's
+// (time, seq) and tagged with the link's flap count at transmission.
+type wireEntry struct {
+	at    sim.Time
+	seq   uint64
+	flaps uint64
+	p     *Packet
+}
+
+// delayLine holds a link's packets on the wire in (at, seq) order, in a
+// growable power-of-two ring whose capacity is bounded by the link's
+// bandwidth-delay product in packets. Its one timer is armed at the
+// head, so a link keeps a single pending delivery event however many
+// packets it has on the wire.
+type delayLine struct {
+	buf   []wireEntry
+	head  int
+	n     int
+	timer *sim.Timer
+}
+
+// insert adds e and reports whether it became the head. Packets
+// normally arrive in transmission order and append at the tail; after
+// a SetDelay decrease a packet can overtake those already on the wire,
+// so e moves toward the head past every entry due strictly later. Its
+// seq is the newest, so it stays behind entries due at the same time.
+func (w *delayLine) insert(e wireEntry) bool {
+	if w.n == len(w.buf) {
+		w.grow()
+	}
+	mask := len(w.buf) - 1
+	i := w.n
+	for ; i > 0; i-- {
+		prev := &w.buf[(w.head+i-1)&mask]
+		if prev.at <= e.at {
+			break
+		}
+		w.buf[(w.head+i)&mask] = *prev
+	}
+	w.buf[(w.head+i)&mask] = e
+	w.n++
+	return i == 0
+}
+
+// grow doubles the ring. It starts at two entries: most links in a
+// many-flow dumbbell (the access links) never hold more than a few
+// packets on the wire, and their rings are most of the delay lines'
+// memory.
+func (w *delayLine) grow() {
+	size := 2 * len(w.buf)
+	if size == 0 {
+		size = 2
+	}
+	buf := make([]wireEntry, size)
+	for i := 0; i < w.n; i++ {
+		buf[i] = w.buf[(w.head+i)&(len(w.buf)-1)]
+	}
+	w.buf, w.head = buf, 0
+}
+
+func (w *delayLine) front() *wireEntry { return &w.buf[w.head] }
+
+// pop removes and returns the head entry; the ring must be non-empty.
+func (w *delayLine) pop() wireEntry {
+	slot := &w.buf[w.head]
+	e := *slot
+	slot.p = nil
+	w.head = (w.head + 1) & (len(w.buf) - 1)
+	w.n--
+	return e
 }
 
 // Queue wraps a QueueDiscipline with occupancy accounting shared by all

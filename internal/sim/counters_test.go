@@ -1,12 +1,15 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 	"time"
+
+	"rrtcp/internal/netem"
+	"rrtcp/internal/sim"
 )
 
 // chain schedules a self-rescheduling event n times on s.
-func chain(t *testing.T, s *Scheduler, n int) {
+func chain(t *testing.T, s *sim.Scheduler, n int) {
 	t.Helper()
 	left := n
 	var tick func()
@@ -29,12 +32,12 @@ func chain(t *testing.T, s *Scheduler, n int) {
 // remainder flush). Deltas are used because the counters are shared
 // with every other test in the binary.
 func TestGlobalCountersFlushRemainder(t *testing.T) {
-	const n = 100 // well under globalFlushEvery
-	before, _ := GlobalCounters()
-	s := NewScheduler(1)
+	const n = 100 // well under the flush interval
+	before, _ := sim.GlobalCounters()
+	s := sim.NewScheduler(1)
 	chain(t, s, n)
 	s.RunAll()
-	after, _ := GlobalCounters()
+	after, _ := sim.GlobalCounters()
 	if got := after - before; got < n {
 		t.Errorf("global events grew by %d, want >= %d", got, n)
 	}
@@ -46,23 +49,38 @@ func TestGlobalCountersFlushRemainder(t *testing.T) {
 // TestGlobalCountersBatchBoundary crosses the flush interval to
 // exercise the in-loop flush path as well as the remainder.
 func TestGlobalCountersBatchBoundary(t *testing.T) {
-	const n = globalFlushEvery + globalFlushEvery/2
-	before, _ := GlobalCounters()
-	s := NewScheduler(2)
+	const n = sim.GlobalFlushEvery + sim.GlobalFlushEvery/2
+	before, _ := sim.GlobalCounters()
+	s := sim.NewScheduler(2)
 	chain(t, s, n)
 	s.RunAll()
-	after, _ := GlobalCounters()
+	after, _ := sim.GlobalCounters()
 	if got := after - before; got < n {
 		t.Errorf("global events grew by %d, want >= %d", got, n)
 	}
 }
 
+// TestCountPackets drives packets through a link, which counts each
+// transmission on its scheduler, and checks that Run's flushes land
+// exactly that many in the process-wide total. The run spans more than
+// one flush interval, so both the in-loop and the deferred flush carry
+// packets. No test in this package runs in parallel, so the delta is
+// exact.
 func TestCountPackets(t *testing.T) {
-	_, before := GlobalCounters()
-	CountPackets(7)
-	CountPackets(3)
-	_, after := GlobalCounters()
-	if got := after - before; got < 10 {
-		t.Errorf("global packets grew by %d, want >= 10", got)
+	const n = sim.GlobalFlushEvery
+	s := sim.NewScheduler(1)
+	l := netem.Must(netem.NewLink(s, 8e6, time.Millisecond, nil,
+		netem.NodeFunc(func(*netem.Packet) {})))
+	_, before := sim.GlobalCounters()
+	for i := 0; i < n; i++ {
+		l.Receive(&netem.Packet{Kind: netem.Data, Size: 1000, Len: 1000})
+	}
+	s.RunAll()
+	_, after := sim.GlobalCounters()
+	if got := after - before; got != n {
+		t.Errorf("global packets grew by %d, want %d", got, n)
+	}
+	if l.TxPackets != n {
+		t.Errorf("link transmitted %d packets, want %d", l.TxPackets, n)
 	}
 }

@@ -37,18 +37,29 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeapMatchesReferenceOrder drives N random schedules and cancels —
-// through both the Timer API and the deprecated Schedule/At shims — and
-// checks that the events fire in exactly the (time, sequence) order a
-// reference container/heap implementation pops them. This is the
-// determinism contract the experiment goldens depend on.
+// refTimer pairs a Timer with the reference model's view of it.
+type refTimer struct {
+	tm     *Timer
+	id     int // id of the pending expiry in the model, -1 when none
+	firing int // id the handler reports when it fires
+}
+
+// TestHeapMatchesReferenceOrder drives random operations through every
+// arming path — the deprecated Schedule/At shims, Timer.At on timers of
+// both classes (in-place re-keys included), Scheduler.ReserveSeq with a
+// later Timer.AtSeq, cancels, stops, and partial runs that fire events
+// and recycle one-shot slots — and checks that events fire in exactly
+// the (time, sequence) order a reference container/heap implementation
+// pops them. This is the determinism contract the experiment goldens
+// depend on: splitting timers into per-class heaps and arming at
+// reserved keys must not change which event fires next.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
-	const ops = 2000
+	const ops = 3000
 	for trial := int64(0); trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(trial + 100))
 		s := NewScheduler(trial)
 
-		var got []int
+		var got, want []int
 		var seq uint64 // mirrors the scheduler's internal sequence counter
 
 		// live holds the reference model of pending events.
@@ -59,73 +70,118 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 			ev *Event
 			id int
 		}
-		type timerArm struct {
-			tm *Timer
-			id int // id of the currently armed expiry, -1 when stopped
-		}
 		var shots []oneShot
-		var timers []*timerArm
+		var timers []*refTimer
+		owner := map[int]*refTimer{} // timer expiry id -> its timer
+		var reserved []uint64        // reserved sequence numbers not yet used
+		recycled, deadlineFires := 0, 0
+
+		// arm records a new pending expiry of ta under key (at, sq).
+		arm := func(ta *refTimer, at Time, sq uint64) {
+			if ta.id >= 0 {
+				delete(live, ta.id) // re-arm replaces the pending expiry
+			}
+			id := nextID
+			nextID++
+			ta.id, ta.firing = id, id
+			owner[id] = ta
+			live[id] = refEntry{at: at, seq: sq, id: id}
+		}
+		// Coarse instants make equal times common, so ties are broken by
+		// sequence number alone.
+		future := func() Time { return s.Now() + Time(rng.Intn(64))*16*time.Microsecond }
 
 		for i := 0; i < ops; i++ {
-			switch k := rng.Intn(10); {
-			case k < 4: // deprecated one-shot Schedule
+			switch k := rng.Intn(20); {
+			case k < 6: // deprecated one-shot At
 				id := nextID
 				nextID++
-				at := Time(rng.Intn(1000)) * time.Microsecond
+				at := future()
+				if s.freeHead >= 0 {
+					recycled++
+				}
 				ev, err := s.At(at, func() { got = append(got, id) })
 				if err != nil {
 					t.Fatal(err)
 				}
+				if c := s.slots[ev.idx].class; c != classDefault {
+					t.Fatalf("trial %d: one-shot slot %d in class %d, want the default class", trial, ev.idx, c)
+				}
 				live[id] = refEntry{at: at, seq: seq, id: id}
 				seq++
 				shots = append(shots, oneShot{ev: ev, id: id})
-			case k < 7: // arm (or re-arm) a timer
-				var ta *timerArm
-				if len(timers) == 0 || rng.Intn(3) == 0 {
-					ta = &timerArm{id: -1}
-					ta.tm = s.NewTimer(func() { got = append(got, ta.id) })
+			case k < 11: // arm (or re-arm in place) a timer of either class
+				var ta *refTimer
+				if len(timers) == 0 || rng.Intn(4) == 0 {
+					ta = &refTimer{id: -1}
+					fire := func() {
+						got = append(got, ta.firing)
+						if s.slots[ta.tm.slot].class == classDeadline {
+							deadlineFires++
+						}
+					}
+					if rng.Intn(2) == 0 {
+						ta.tm = s.NewDeadlineTimer(fire)
+					} else {
+						ta.tm = s.NewTimer(fire)
+					}
 					timers = append(timers, ta)
 				} else {
 					ta = timers[rng.Intn(len(timers))]
 				}
-				if ta.id >= 0 {
-					delete(live, ta.id) // re-arm replaces the pending expiry
-				}
-				id := nextID
-				nextID++
-				at := Time(rng.Intn(1000)) * time.Microsecond
+				at := future()
 				if err := ta.tm.At(at); err != nil {
 					t.Fatal(err)
 				}
-				ta.id = id
-				live[id] = refEntry{at: at, seq: seq, id: id}
+				arm(ta, at, seq)
 				seq++
-			case k < 9 && len(shots) > 0: // cancel a one-shot
+			case k < 14: // reserve a sequence number for a later arm
+				reserved = append(reserved, s.ReserveSeq())
+				seq++
+			case k < 16 && len(reserved) > 0 && len(timers) > 0: // arm at a reserved key
+				// Reservations outnumber arms, so old keys pile up;
+				// half the arms take the oldest, whose seq lies below
+				// most pending entries'.
+				j := 0
+				if rng.Intn(2) == 0 {
+					j = rng.Intn(len(reserved))
+				}
+				sq := reserved[j]
+				reserved = append(reserved[:j], reserved[j+1:]...)
+				ta := timers[rng.Intn(len(timers))]
+				at := future()
+				if ta.id >= 0 && rng.Intn(2) == 0 {
+					// Re-key in place at the same instant: only the
+					// sequence number moves, possibly backwards.
+					at = live[ta.id].at
+				}
+				if err := ta.tm.AtSeq(at, sq); err != nil {
+					t.Fatal(err)
+				}
+				arm(ta, at, sq)
+			case k < 17 && len(shots) > 0: // cancel a one-shot (maybe already fired)
 				j := rng.Intn(len(shots))
 				s.Cancel(shots[j].ev)
 				delete(live, shots[j].id)
 				shots = append(shots[:j], shots[j+1:]...)
-			case len(timers) > 0: // stop a timer
+			case k < 18 && len(timers) > 0: // stop a timer
 				ta := timers[rng.Intn(len(timers))]
 				ta.tm.Stop()
 				if ta.id >= 0 {
 					delete(live, ta.id)
 					ta.id = -1
 				}
+			case k < 19: // fire everything due in the next 200us
+				until := s.Now() + Time(rng.Intn(200))*time.Microsecond
+				want = popReference(live, owner, until, want)
+				s.Run(until)
+			}
+			if s.Pending() != len(live) {
+				t.Fatalf("trial %d op %d: Pending() = %d, model holds %d", trial, i, s.Pending(), len(live))
 			}
 		}
 
-		// Reference pop order via container/heap.
-		ref := make(refHeap, 0, len(live))
-		for _, e := range live {
-			ref = append(ref, e)
-		}
-		heap.Init(&ref)
-		want := make([]int, 0, len(ref))
-		for ref.Len() > 0 {
-			want = append(want, heap.Pop(&ref).(refEntry).id)
-		}
-
+		want = popReference(live, owner, 1<<62, want)
 		s.RunAll()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: fired %d events, reference popped %d", trial, len(got), len(want))
@@ -136,7 +192,31 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 					trial, i, got[i], want[i])
 			}
 		}
+		if recycled == 0 || deadlineFires == 0 {
+			t.Fatalf("trial %d: recycled %d one-shot slots, fired %d deadline timers; want both > 0",
+				trial, recycled, deadlineFires)
+		}
 	}
+}
+
+// popReference pops every live entry due at or before until in the
+// reference container/heap order, appends their ids to want, and marks
+// fired timer expiries as no longer pending.
+func popReference(live map[int]refEntry, owner map[int]*refTimer, until Time, want []int) []int {
+	ref := make(refHeap, 0, len(live))
+	for _, e := range live {
+		ref = append(ref, e)
+	}
+	heap.Init(&ref)
+	for ref.Len() > 0 && ref[0].at <= until {
+		e := heap.Pop(&ref).(refEntry)
+		want = append(want, e.id)
+		delete(live, e.id)
+		if ta := owner[e.id]; ta != nil && ta.id == e.id {
+			ta.id = -1
+		}
+	}
+	return want
 }
 
 // TestTimerSteadyStateZeroAlloc asserts the tentpole allocation

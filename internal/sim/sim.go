@@ -4,14 +4,14 @@
 // source. It is the substrate on which the network and TCP models run,
 // playing the role ns-2's scheduler plays in the paper's evaluation.
 //
-// The event queue is an index-based 4-ary min-heap over an arena of
-// value slots with free-list recycling: scheduling, firing, and
-// cancelling events allocate nothing in steady state, and cancel is
-// O(log n) via the slot's tracked heap position. The preferred
-// scheduling surface is the reusable-timer API (Scheduler.NewTimer plus
-// Timer.At/Reset/Stop, mirroring time.Timer); the closure-based
-// Schedule/At calls remain as thin deprecated shims that allocate a
-// handle per call.
+// The event queue is a pair of index-based 4-ary min-heaps, one per
+// timer class, over an arena of value slots with free-list recycling:
+// scheduling, firing, and cancelling events allocate nothing in steady
+// state, and cancel is O(log n) via the slot's tracked heap position.
+// The preferred scheduling surface is the reusable-timer API
+// (Scheduler.NewTimer plus Timer.At/Reset/Stop, mirroring time.Timer);
+// the closure-based Schedule/At calls remain as thin deprecated shims
+// that allocate a handle per call.
 package sim
 
 import (
@@ -26,11 +26,12 @@ import (
 // Process-wide simulator totals, aggregated across every scheduler in
 // the process so a live introspection scrape can watch a parallel
 // sweep's aggregate event and packet rates. Schedulers batch their
-// event counts (one atomic add per globalFlushEvery events, plus one
-// at the end of each Run), so the hot loop pays a counter increment
-// and a mask test per event; packet sources (netem links) add as they
-// transmit. The counters are observability-only: nothing in the
-// simulation reads them, so they cannot perturb determinism.
+// event and packet counts (one atomic add each per globalFlushEvery
+// events, plus one at the end of each Run), so the hot loop pays a
+// counter increment and a mask test per event, and parallel sweep
+// workers do not contend on the shared cache line. The counters are
+// observability-only: nothing in the simulation reads them, so they
+// cannot perturb determinism.
 var (
 	globalEvents  atomic.Uint64
 	globalPackets atomic.Uint64
@@ -38,10 +39,6 @@ var (
 
 // globalFlushEvery is the event-count batching interval (power of two).
 const globalFlushEvery = 4096
-
-// CountPackets adds n simulated transmitted packets to the process-wide
-// total.
-func CountPackets(n uint64) { globalPackets.Add(n) }
 
 // GlobalCounters reports the process-wide totals: discrete events
 // processed and packets transmitted across every scheduler so far.
@@ -66,6 +63,18 @@ type heapEntry struct {
 	idx int32
 }
 
+// Timer classes. Each class keeps its own heap, and run pops the
+// smaller (time, seq) of the class tops, so the merged firing order is
+// exactly that of one heap over every entry. The deadline class holds
+// timers that sit far ahead of the clock and are pushed back on most
+// arms (TCP retransmission timers, one per flow): kept apart, they no
+// longer lie in the sift path of every near-term event.
+const (
+	classDefault uint8 = iota
+	classDeadline
+	numClasses
+)
+
 // timerSlot is one arena cell. Timer-owned slots are persistent: the
 // handler is written once at NewTimer and the slot is never recycled,
 // so arming and firing touch only pointer-free fields (no write
@@ -80,6 +89,7 @@ type timerSlot struct {
 	heapPos  int32
 	nextFree int32
 	oneShot  bool
+	class    uint8
 }
 
 // Scheduler owns the virtual clock and the pending event set. The zero
@@ -91,15 +101,19 @@ type Scheduler struct {
 	seed    int64
 	rng     *rand.Rand
 
-	// Event queue: 4-ary min-heap of value entries ordered by
-	// (time, sequence), over an arena of recycled handler slots.
-	heap      []heapEntry
+	// Event queue: one 4-ary min-heap of value entries ordered by
+	// (time, sequence) per timer class, over an arena of recycled
+	// handler slots.
+	heaps     [numClasses][]heapEntry
 	slots     []timerSlot
 	freeHead  int32
 	highWater int
 
 	// Processed counts events that have fired, for diagnostics.
 	processed uint64
+	// packets counts transmitted packets not yet added to the
+	// process-wide total; run flushes it with the event batch.
+	packets uint64
 
 	// Profiling hook, fired every profEvery processed events.
 	profEvery uint64
@@ -144,16 +158,37 @@ func (s *Scheduler) DeriveRand(tag string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// Pending reports the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// Pending reports the number of events waiting to fire, across every
+// timer class.
+func (s *Scheduler) Pending() int {
+	return len(s.heaps[classDefault]) + len(s.heaps[classDeadline])
+}
 
 // Processed reports the number of events that have fired so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// HeapHighWater reports the deepest the pending-event heap has been
-// over the scheduler's lifetime — the working-set figure the headline
-// benchmarks publish alongside throughput.
+// HeapHighWater reports the most events that have been pending at once
+// (summed across timer classes) over the scheduler's lifetime — the
+// working-set figure the headline benchmarks publish alongside
+// throughput.
 func (s *Scheduler) HeapHighWater() int { return s.highWater }
+
+// CountPacket records one transmitted packet in the process-wide packet
+// total. The count is held on the scheduler and flushed with the event
+// batch, so it reaches GlobalCounters by the time Run returns.
+func (s *Scheduler) CountPacket() { s.packets++ }
+
+// ReserveSeq takes the next event sequence number without arming
+// anything. A source that learns an event's time now but arms its
+// timer later (a link's delay line, whose single delivery timer serves
+// packets in arrival order) reserves the key at the moment a timer of
+// its own would have been armed and hands it to Timer.AtSeq, so ties
+// break exactly as if every event had had its own timer.
+func (s *Scheduler) ReserveSeq() uint64 {
+	seq := s.nextSeq
+	s.nextSeq++
+	return seq
+}
 
 // SetProfileHook installs fn to be called every `every` processed
 // events with the current time, the total processed count, and the
@@ -195,8 +230,9 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
+// siftUp and siftDown reorder h, one class's heap, in place; they never
+// change its length.
+func (s *Scheduler) siftUp(h []heapEntry, i int) {
 	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -211,8 +247,7 @@ func (s *Scheduler) siftUp(i int) {
 	s.slots[e.idx].heapPos = int32(i)
 }
 
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
+func (s *Scheduler) siftDown(h []heapEntry, i int) {
 	n := len(h)
 	e := h[i]
 	for {
@@ -241,47 +276,50 @@ func (s *Scheduler) siftDown(i int) {
 	s.slots[e.idx].heapPos = int32(i)
 }
 
-func (s *Scheduler) heapPush(e heapEntry) {
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap) - 1)
-	if len(s.heap) > s.highWater {
-		s.highWater = len(s.heap)
+func (s *Scheduler) heapPush(c uint8, e heapEntry) {
+	hp := &s.heaps[c]
+	*hp = append(*hp, e)
+	s.siftUp(*hp, len(*hp)-1)
+	if n := s.Pending(); n > s.highWater {
+		s.highWater = n
 	}
 }
 
-// heapPop removes and returns the minimum entry. The caller is
-// responsible for recycling the entry's slot.
-func (s *Scheduler) heapPop() heapEntry {
-	h := s.heap
+// heapPop removes and returns the minimum entry of the class heap at
+// hp. The caller is responsible for recycling the entry's slot.
+func (s *Scheduler) heapPop(hp *[]heapEntry) heapEntry {
+	h := *hp
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	s.heap = h[:n]
+	h = h[:n]
+	*hp = h
 	if n > 0 {
-		s.slots[s.heap[0].idx].heapPos = 0
-		s.siftDown(0)
+		s.slots[h[0].idx].heapPos = 0
+		s.siftDown(h, 0)
 	}
 	return top
 }
 
-// heapRemove deletes the entry at heap position pos (a cancel).
-func (s *Scheduler) heapRemove(pos int) {
-	h := s.heap
+// heapRemove deletes the entry at position pos of class c (a cancel).
+func (s *Scheduler) heapRemove(c uint8, pos int) {
+	h := s.heaps[c]
 	n := len(h) - 1
-	s.heap = h[:n]
+	moved := h[n]
+	h = h[:n]
+	s.heaps[c] = h
 	if pos == n {
 		return
 	}
-	moved := h[n]
 	h[pos] = moved
 	s.slots[moved.idx].heapPos = int32(pos)
-	s.siftDown(pos)
-	if s.heap[pos].idx == moved.idx {
-		s.siftUp(pos)
+	s.siftDown(h, pos)
+	if h[pos].idx == moved.idx {
+		s.siftUp(h, pos)
 	}
 }
 
-func (s *Scheduler) allocSlot(fn func(), oneShot bool) int32 {
+func (s *Scheduler) allocSlot(fn func(), oneShot bool, class uint8) int32 {
 	var i int32
 	if s.freeHead >= 0 {
 		i = s.freeHead
@@ -295,6 +333,7 @@ func (s *Scheduler) allocSlot(fn func(), oneShot bool) int32 {
 	sl.heapPos = -1
 	sl.nextFree = -1
 	sl.oneShot = oneShot
+	sl.class = class
 	return i
 }
 
@@ -309,33 +348,33 @@ func (s *Scheduler) freeSlot(i int32) {
 	s.freeHead = i
 }
 
-// armSlot enqueues slot i's handler at absolute instant t, consuming
-// one sequence number. A slot that is already pending is re-keyed in
-// place — one sift instead of a remove-then-push — which is safe for
-// determinism because heap pop order depends only on the (time, seq)
-// keys of the live entries, never on how they got there.
-func (s *Scheduler) armSlot(i int32, t Time) error {
-	if t < s.now {
-		return fmt.Errorf("%w: at=%v now=%v", ErrScheduleInPast, t, s.now)
-	}
+// errPast reports an arm at t before the current instant.
+func (s *Scheduler) errPast(t Time) error {
+	return fmt.Errorf("%w: at=%v now=%v", ErrScheduleInPast, t, s.now)
+}
+
+// armSlotSeq enqueues slot i's handler under the key (t, seq); the
+// caller has checked that t is not in the past. A slot that is already
+// pending is re-keyed in place — one sift instead of a remove-then-push
+// — which is safe for determinism because heap pop order depends only
+// on the (time, seq) keys of the live entries, never on how they got
+// there.
+func (s *Scheduler) armSlotSeq(i int32, t Time, seq uint64) {
 	sl := &s.slots[i]
 	sl.at = t
-	seq := s.nextSeq
-	s.nextSeq++
+	e := heapEntry{at: t, seq: seq, idx: i}
 	if pos := sl.heapPos; pos >= 0 {
-		old := s.heap[pos]
-		s.heap[pos] = heapEntry{at: t, seq: seq, idx: i}
-		// seq only ever grows, so the new key moves toward the leaves
-		// unless the time moved strictly earlier.
-		if t < old.at {
-			s.siftUp(int(pos))
+		h := s.heaps[sl.class]
+		old := h[pos]
+		h[pos] = e
+		if entryLess(e, old) {
+			s.siftUp(h, int(pos))
 		} else {
-			s.siftDown(int(pos))
+			s.siftDown(h, int(pos))
 		}
-		return nil
+		return
 	}
-	s.heapPush(heapEntry{at: t, seq: seq, idx: i})
-	return nil
+	s.heapPush(sl.class, e)
 }
 
 // disarm cancels the pending event in slot i if the generation still
@@ -349,7 +388,7 @@ func (s *Scheduler) disarm(i int32, gen uint64) {
 	if sl.gen != gen || sl.heapPos < 0 {
 		return
 	}
-	s.heapRemove(int(sl.heapPos))
+	s.heapRemove(sl.class, int(sl.heapPos))
 	s.freeSlot(i)
 }
 
@@ -389,11 +428,11 @@ func (s *Scheduler) Schedule(delay Time, fn func()) (*Event, error) {
 //
 // Deprecated: use Scheduler.NewTimer with Timer.At.
 func (s *Scheduler) At(t Time, fn func()) (*Event, error) {
-	i := s.allocSlot(fn, true)
-	if err := s.armSlot(i, t); err != nil {
-		s.freeSlot(i)
-		return nil, err
+	if t < s.now {
+		return nil, s.errPast(t)
 	}
+	i := s.allocSlot(fn, true, classDefault)
+	s.armSlotSeq(i, t, s.ReserveSeq())
 	return &Event{s: s, at: t, idx: i, gen: s.slots[i].gen}, nil
 }
 
@@ -427,16 +466,23 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 	s.stopped = false
 	var batch uint64 // events since the last global-counter flush
 	defer func() {
-		if batch > 0 {
-			globalEvents.Add(batch)
+		if batch > 0 || s.packets > 0 {
+			s.flushCounters(batch)
 		}
 	}()
-	for len(s.heap) > 0 && !s.stopped {
-		if s.heap[0].at > until {
+	for !s.stopped {
+		hp := &s.heaps[classDefault]
+		if d := &s.heaps[classDeadline]; len(*d) > 0 && (len(*hp) == 0 || entryLess((*d)[0], (*hp)[0])) {
+			hp = d
+		}
+		if len(*hp) == 0 {
+			break
+		}
+		if (*hp)[0].at > until {
 			s.now = until
 			return
 		}
-		top := s.heapPop()
+		top := s.heapPop(hp)
 		sl := &s.slots[top.idx]
 		fn := sl.fn
 		s.now = top.at
@@ -449,15 +495,15 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 		}
 		s.processed++
 		if batch++; batch == globalFlushEvery {
-			globalEvents.Add(batch)
+			s.flushCounters(batch)
 			batch = 0
 		}
 		fn()
 		if s.profHook != nil && s.processed%s.profEvery == 0 {
-			s.profHook(s.now, s.processed, len(s.heap))
+			s.profHook(s.now, s.processed, s.Pending())
 		}
 		if s.guard != nil {
-			if err := s.guard(s.now, s.processed, len(s.heap)); err != nil {
+			if err := s.guard(s.now, s.processed, s.Pending()); err != nil {
 				s.guardErr = err
 				s.stopped = true
 			}
@@ -465,6 +511,16 @@ func (s *Scheduler) run(until Time, advanceClock bool) {
 	}
 	if !s.stopped && advanceClock && s.now < until {
 		s.now = until
+	}
+}
+
+// flushCounters adds a batch of processed events and the packets
+// counted since the last flush to the process-wide totals.
+func (s *Scheduler) flushCounters(events uint64) {
+	globalEvents.Add(events)
+	if s.packets > 0 {
+		globalPackets.Add(s.packets)
+		s.packets = 0
 	}
 }
 
@@ -487,7 +543,17 @@ type Timer struct {
 // timer owns its arena slot for the scheduler's lifetime, so create
 // timers per long-lived event source (or pool them), not per arm.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
-	return &Timer{s: s, slot: s.allocSlot(fn, false)}
+	return &Timer{s: s, slot: s.allocSlot(fn, false, classDefault)}
+}
+
+// NewDeadlineTimer is NewTimer for a deadline: a timer that normally
+// sits far ahead of the clock and is pushed back before it fires, like
+// a TCP retransmission timer re-armed on every ACK. It fires exactly as
+// a NewTimer timer would; it only lives in a separate heap, so
+// re-keying it never sifts through near-term events and near-term
+// events never sift through it.
+func (s *Scheduler) NewDeadlineTimer(fn func()) *Timer {
+	return &Timer{s: s, slot: s.allocSlot(fn, false, classDeadline)}
 }
 
 // NewTimer returns a stopped timer bound to s that runs fn when it
@@ -502,10 +568,25 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 // pending expiry. Arming before the current simulated time returns
 // ErrScheduleInPast and leaves the timer stopped.
 func (t *Timer) At(at Time) error {
-	if err := t.s.armSlot(t.slot, at); err != nil {
+	if at < t.s.now {
 		t.Stop()
-		return err
+		return t.s.errPast(at)
 	}
+	t.s.armSlotSeq(t.slot, at, t.s.ReserveSeq())
+	return nil
+}
+
+// AtSeq arms the timer like At, but under a sequence number taken
+// earlier with Scheduler.ReserveSeq instead of a fresh one, so the
+// event breaks ties with simultaneous events as if it had been armed
+// when the number was reserved. Each reserved number may key at most
+// one pending event.
+func (t *Timer) AtSeq(at Time, seq uint64) error {
+	if at < t.s.now {
+		t.Stop()
+		return t.s.errPast(at)
+	}
+	t.s.armSlotSeq(t.slot, at, seq)
 	return nil
 }
 
@@ -525,7 +606,7 @@ func (t *Timer) Stop() {
 	if sl.heapPos < 0 {
 		return
 	}
-	t.s.heapRemove(int(sl.heapPos))
+	t.s.heapRemove(sl.class, int(sl.heapPos))
 	sl.heapPos = -1
 }
 

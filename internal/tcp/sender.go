@@ -167,7 +167,9 @@ func New(sched *sim.Scheduler, out netem.Node, strat Strategy, cfg Config) (*Sen
 		cwnd:     1,
 		ssthresh: cfg.InitialSSThresh,
 	}
-	s.rtxTimer = sched.NewTimer(s.onTimeout)
+	// The retransmission timer sits one RTO ahead and is pushed back on
+	// every ACK, so it lives in the scheduler's deadline class.
+	s.rtxTimer = sched.NewDeadlineTimer(s.onTimeout)
 	s.startTimer = sched.NewTimer(s.onStart)
 	return s, nil
 }

@@ -8,10 +8,12 @@ import (
 
 // AttachSchedulerProfile installs a profiling hook on the scheduler
 // that publishes one KSchedProfile event every `every` processed
-// events: total events processed (Seq), current heap depth (A), and
-// wall-clock seconds spent per simulated second since the previous
+// events: total events processed (Seq), current pending events (A),
+// and wall-clock seconds spent per simulated second since the previous
 // sample (B; the first sample rates against the attach instant, and B
-// is 0 when sim time stood still).
+// is 0 when sim time stood still). Like Scheduler.HeapHighWater, A
+// counts armed timers across both timer classes plus one delivery
+// entry per link with packets on the wire, not one per packet.
 //
 // The wall-time attribute is the one intentionally nondeterministic
 // value in the event stream — it measures the simulator, not the
