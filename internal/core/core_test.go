@@ -10,7 +10,7 @@ import (
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 // rrNet wires an RR sender to a receiver over 10 ms links with
@@ -21,13 +21,14 @@ type rrNet struct {
 	recv   *tcp.Receiver
 	loss   *netem.SeqLoss
 	strat  *core.RRStrategy
-	tr     *trace.FlowTrace
+	ring   *telemetry.Ring
 }
 
 func newRRNet(t *testing.T, opts *core.Options, totalPackets int64) *rrNet {
 	t.Helper()
 	sched := sim.NewScheduler(1)
-	tr := trace.New(0, "rr")
+	ring := telemetry.NewRing(0)
+	bus := telemetry.NewBus(ring)
 
 	strat := core.NewRR()
 	if opts != nil {
@@ -37,7 +38,8 @@ func newRRNet(t *testing.T, opts *core.Options, totalPackets int64) *rrNet {
 	dataLink := netem.Must(netem.NewLink(sched, 10e6, 10*time.Millisecond, netem.Must(netem.NewDropTail(1000)), nil))
 	ackLink := netem.Must(netem.NewLink(sched, 10e6, 10*time.Millisecond, netem.Must(netem.NewDropTail(1000)), nil))
 	loss := netem.NewSeqLoss(dataLink)
-	recv := tcp.NewReceiver(sched, 0, ackLink, tr)
+	recv := tcp.NewReceiver(sched, 0, ackLink)
+	recv.Telemetry = bus
 	dataLink.Dst = recv
 
 	total := tcp.Infinite
@@ -49,14 +51,14 @@ func newRRNet(t *testing.T, opts *core.Options, totalPackets int64) *rrNet {
 		Window:          24,
 		InitialSSThresh: 12,
 		TotalBytes:      total,
-		Trace:           tr,
+		Telemetry:       bus,
 	})
 	if err != nil {
 		t.Fatalf("new sender: %v", err)
 	}
 	ackLink.Dst = sender
 
-	return &rrNet{sched: sched, sender: sender, recv: recv, loss: loss, strat: strat, tr: tr}
+	return &rrNet{sched: sched, sender: sender, recv: recv, loss: loss, strat: strat, ring: ring}
 }
 
 func (n *rrNet) drop(pkts ...int64) {
@@ -85,8 +87,8 @@ func TestRRCompletesCleanTransfer(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.Retransmits != 0 || n.tr.Timeouts != 0 {
-		t.Fatalf("clean path produced rtx=%d timeouts=%d", n.tr.Retransmits, n.tr.Timeouts)
+	if n.sender.Retransmits() != 0 || n.sender.Timeouts() != 0 {
+		t.Fatalf("clean path produced rtx=%d timeouts=%d", n.sender.Retransmits(), n.sender.Timeouts())
 	}
 }
 
@@ -98,18 +100,18 @@ func TestRRSingleLossRecoversWithoutProbe(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts on a single loss", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts on a single loss", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 1 {
-		t.Fatalf("%d retransmits, want 1", n.tr.Retransmits)
+	if n.sender.Retransmits() != 1 {
+		t.Fatalf("%d retransmits, want 1", n.sender.Retransmits())
 	}
 	// Single loss: exit happens straight from retreat, so no probe
 	// transition is recorded.
-	if got := len(n.tr.SamplesOf(trace.EvPhaseFlip)); got != 0 {
+	if got := len(n.ring.EventsOf(telemetry.KRetreatProbe)); got != 0 {
 		t.Fatalf("probe sub-phase entered %d times for a single loss", got)
 	}
-	if got := len(n.tr.SamplesOf(trace.EvExit)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRecoveryExit)); got != 1 {
 		t.Fatalf("%d exits, want 1", got)
 	}
 }
@@ -122,18 +124,18 @@ func TestRRBurstLossSingleSignal(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts on a 4-packet burst", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts on a 4-packet burst", n.sender.Timeouts())
 	}
 	// One congestion signal: exactly one recovery entry and one exit.
-	if got := len(n.tr.SamplesOf(trace.EvRecovery)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRecoveryEnter)); got != 1 {
 		t.Fatalf("%d recoveries, want 1", got)
 	}
-	if got := len(n.tr.SamplesOf(trace.EvPhaseFlip)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRetreatProbe)); got != 1 {
 		t.Fatalf("%d retreat→probe transitions, want 1", got)
 	}
-	if n.tr.Retransmits != 4 {
-		t.Fatalf("%d retransmits, want 4", n.tr.Retransmits)
+	if n.sender.Retransmits() != 4 {
+		t.Fatalf("%d retransmits, want 4", n.sender.Retransmits())
 	}
 }
 
@@ -142,7 +144,7 @@ func TestRRRecoversOneHolePerRTT(t *testing.T) {
 	n.drop(40, 41, 42)
 	n.start(t)
 	n.sched.Run(60 * time.Second)
-	rtx := n.tr.SamplesOf(trace.EvRetransmit)
+	rtx := n.ring.EventsOf(telemetry.KRetransmit)
 	if len(rtx) != 3 {
 		t.Fatalf("%d retransmits, want 3", len(rtx))
 	}
@@ -159,13 +161,13 @@ func TestRRSendsNewDataDuringRecovery(t *testing.T) {
 	n.drop(40, 41, 42)
 	n.start(t)
 	n.sched.Run(10 * time.Second)
-	samples := n.tr.Samples()
+	samples := n.ring.Events()
 	var entry, exitAt sim.Time = -1, -1
 	for _, s := range samples {
-		if s.Kind == trace.EvRecovery && entry < 0 {
+		if s.Kind == telemetry.KRecoveryEnter && entry < 0 {
 			entry = s.At
 		}
-		if s.Kind == trace.EvExit && exitAt < 0 {
+		if s.Kind == telemetry.KRecoveryExit && exitAt < 0 {
 			exitAt = s.At
 		}
 	}
@@ -174,7 +176,7 @@ func TestRRSendsNewDataDuringRecovery(t *testing.T) {
 	}
 	newSends := 0
 	for _, s := range samples {
-		if s.Kind == trace.EvSend && s.At > entry && s.At < exitAt {
+		if s.Kind == telemetry.KSend && s.At > entry && s.At < exitAt {
 			newSends++
 		}
 	}
@@ -188,23 +190,23 @@ func TestRRCwndUnchangedDuringRecovery(t *testing.T) {
 	n.drop(40, 41, 42)
 	n.start(t)
 	n.sched.Run(10 * time.Second)
-	samples := n.tr.Samples()
+	samples := n.ring.Events()
 	var entry, exitAt sim.Time = -1, -1
 	var entryCwnd float64
 	for _, s := range samples {
-		if s.Kind == trace.EvRecovery && entry < 0 {
+		if s.Kind == telemetry.KRecoveryEnter && entry < 0 {
 			entry = s.At
-			entryCwnd = s.Value
+			entryCwnd = s.A
 		}
-		if s.Kind == trace.EvExit && exitAt < 0 {
+		if s.Kind == telemetry.KRecoveryExit && exitAt < 0 {
 			exitAt = s.At
 		}
 	}
 	// No cwnd samples strictly inside recovery (cwnd is out of the
 	// control loop until the exit hand-off).
 	for _, s := range samples {
-		if s.Kind == trace.EvCwnd && s.At > entry && s.At < exitAt {
-			t.Fatalf("cwnd changed during recovery at %v (%.1f→%.1f)", s.At, entryCwnd, s.Value)
+		if s.Kind == telemetry.KCwnd && s.At > entry && s.At < exitAt {
+			t.Fatalf("cwnd changed during recovery at %v (%.1f→%.1f)", s.At, entryCwnd, s.A)
 		}
 	}
 }
@@ -214,13 +216,13 @@ func TestRRExitHandsOffActnum(t *testing.T) {
 	n.drop(40, 41, 42)
 	n.start(t)
 	n.sched.Run(10 * time.Second)
-	exits := n.tr.SamplesOf(trace.EvExit)
+	exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 	if len(exits) == 0 {
 		t.Fatal("no exit recorded")
 	}
 	// Exit cwnd equals actnum at exit: a small positive integer well
 	// below the pre-loss window.
-	cw := exits[0].Value
+	cw := exits[0].A
 	if cw < 1 || cw > 20 {
 		t.Fatalf("exit cwnd %.1f implausible", cw)
 	}
@@ -237,13 +239,13 @@ func TestRRFurtherLossDetectedWithoutNewFastRetransmit(t *testing.T) {
 	n.drop(57)
 	n.start(t)
 	n.sched.Run(10 * time.Second)
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts; the further loss must be absorbed in-recovery", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts; the further loss must be absorbed in-recovery", n.sender.Timeouts())
 	}
-	if got := len(n.tr.SamplesOf(trace.EvRecovery)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRecoveryEnter)); got != 1 {
 		t.Fatalf("%d recovery entries, want 1 (no second fast retransmit)", got)
 	}
-	if got := len(n.tr.SamplesOf(trace.EvFurther)); got == 0 {
+	if got := len(n.ring.EventsOf(telemetry.KFurtherLoss)); got == 0 {
 		t.Fatal("further loss not detected")
 	}
 	if n.strat.FurtherLosses == 0 {
@@ -259,7 +261,7 @@ func TestRRFurtherLossExtendsExit(t *testing.T) {
 	// The further-lost packet must be retransmitted inside the same
 	// recovery phase.
 	var sawRtx57 bool
-	for _, s := range n.tr.SamplesOf(trace.EvRetransmit) {
+	for _, s := range n.ring.EventsOf(telemetry.KRetransmit) {
 		if s.Seq == 57*1000 {
 			sawRtx57 = true
 		}
@@ -267,7 +269,7 @@ func TestRRFurtherLossExtendsExit(t *testing.T) {
 	if !sawRtx57 {
 		t.Fatal("further-lost packet not retransmitted")
 	}
-	if got := len(n.tr.SamplesOf(trace.EvExit)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRecoveryExit)); got != 1 {
 		t.Fatalf("%d exits, want 1", got)
 	}
 }
@@ -278,7 +280,7 @@ func TestRRRetransmissionLossFallsBackToTimeout(t *testing.T) {
 	n.loss.DropRetransmit(0, 40*1000)
 	n.start(t)
 	n.sched.Run(20 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("lost retransmission must force a coarse timeout")
 	}
 	if n.sender.SndUna() <= 40*1000 {
@@ -325,9 +327,9 @@ func TestRROptionsRightEdge(t *testing.T) {
 	aggressive.start(t)
 	aggressive.sched.Run(5 * time.Second)
 
-	if aggressive.tr.DataSent <= published.tr.DataSent {
+	if aggressive.sender.Sends() <= published.sender.Sends() {
 		t.Fatalf("right-edge sent %d ≤ published %d; expected more aggressive retreat",
-			aggressive.tr.DataSent, published.tr.DataSent)
+			aggressive.sender.Sends(), published.sender.Sends())
 	}
 }
 
@@ -336,12 +338,12 @@ func TestRROptionsDisableFurtherLossDetection(t *testing.T) {
 	n.drop(40, 41, 42, 57)
 	n.start(t)
 	n.sched.Run(20 * time.Second)
-	if got := len(n.tr.SamplesOf(trace.EvFurther)); got != 0 {
+	if got := len(n.ring.EventsOf(telemetry.KFurtherLoss)); got != 0 {
 		t.Fatalf("further-loss detection fired %d times despite being disabled", got)
 	}
 	// Without detection the further loss needs another fast retransmit
 	// or a timeout.
-	extra := len(n.tr.SamplesOf(trace.EvRecovery)) > 1 || n.tr.Timeouts > 0
+	extra := len(n.ring.EventsOf(telemetry.KRecoveryEnter)) > 1 || n.sender.Timeouts() > 0
 	if !extra {
 		t.Fatal("further loss recovered without any extra signal; detection seems active")
 	}
@@ -352,12 +354,12 @@ func TestRROptionsExitToSsthresh(t *testing.T) {
 	n.drop(40, 41, 42)
 	n.start(t)
 	n.sched.Run(10 * time.Second)
-	exits := n.tr.SamplesOf(trace.EvExit)
+	exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 	if len(exits) == 0 {
 		t.Fatal("no exit recorded")
 	}
-	if exits[0].Value != n.sender.Ssthresh() && exits[0].Value < 2 {
-		t.Fatalf("exit cwnd %.1f does not reflect ssthresh hand-off", exits[0].Value)
+	if exits[0].A != n.sender.Ssthresh() && exits[0].A < 2 {
+		t.Fatalf("exit cwnd %.1f does not reflect ssthresh hand-off", exits[0].A)
 	}
 }
 
@@ -456,10 +458,10 @@ func TestRRPaperFigure3Example(t *testing.T) {
 	n.start(t)
 	n.sched.Run(10 * time.Second)
 
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts; the example recovers without any", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts; the example recovers without any", n.sender.Timeouts())
 	}
-	rtx := n.tr.SamplesOf(trace.EvRetransmit)
+	rtx := n.ring.EventsOf(telemetry.KRetransmit)
 	if len(rtx) != 4 {
 		t.Fatalf("%d retransmits, want 4", len(rtx))
 	}
@@ -471,7 +473,7 @@ func TestRRPaperFigure3Example(t *testing.T) {
 	}
 	// Packet 4 goes out with the fast retransmit (recovery entry);
 	// 5, 7, 8 follow one per probe RTT.
-	recs := n.tr.SamplesOf(trace.EvRecovery)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
 	if len(recs) != 1 {
 		t.Fatalf("%d recovery entries, want 1 (single congestion signal)", len(recs))
 	}
@@ -485,12 +487,12 @@ func TestRRPaperFigure3Example(t *testing.T) {
 		}
 	}
 	// And the connection keeps transmitting new data throughout.
-	exits := n.tr.SamplesOf(trace.EvExit)
+	exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 	if len(exits) != 1 {
 		t.Fatalf("%d exits, want 1", len(exits))
 	}
 	newSends := 0
-	for _, s := range n.tr.SamplesOf(trace.EvSend) {
+	for _, s := range n.ring.EventsOf(telemetry.KSend) {
 		if s.At > recs[0].At && s.At < exits[0].At {
 			newSends++
 		}

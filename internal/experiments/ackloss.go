@@ -185,8 +185,8 @@ func ackLossRun(cfg AckLossConfig, kind workload.Kind, rate float64, seed int64)
 	flow.Receiver.SetOutput(ackLoss)
 
 	sched.Run(120 * time.Second)
-	delay, ok := flow.Trace.TransferDelay()
-	return delay, flow.Trace.Timeouts, ok, nil
+	delay, ok := flow.Sender.TransferDelay()
+	return delay, uint64(flow.Sender.Timeouts()), ok, nil
 }
 
 // Render returns the sweep as a text table.

@@ -182,8 +182,8 @@ func burstyRun(cfg BurstyConfig, kind workload.Kind, burst float64, seed int64) 
 	if err != nil {
 		return 0, 0, err
 	}
-	sched.Run(cfg.Duration)
-	return flow.Trace.GoodputBps(5*time.Second, cfg.Duration), flow.Trace.Timeouts, nil
+	before, by := runAcked(sched, flow.Sender, 5*time.Second, cfg.Duration)
+	return goodputBps(by-before, 5*time.Second, cfg.Duration), uint64(flow.Sender.Timeouts()), nil
 }
 
 // Render returns the sweep as a table: one row per burst length, one

@@ -18,11 +18,31 @@ import (
 	"fmt"
 	"strings"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/sim"
+	"rrtcp/internal/tcp"
 )
 
-// ackRecvKind names the trace kind counted as a received ACK.
-const ackRecvKind = trace.EvAckRecv
+// runAcked runs sched through to and reports the bytes s had
+// acknowledged strictly before from and by to — the ends of a fixed
+// goodput window. Pausing the run at from-1ns only reads snd.una
+// between two events; it schedules nothing.
+func runAcked(sched *sim.Scheduler, s *tcp.Sender, from, to sim.Time) (before, by int64) {
+	if from > 0 && from <= to {
+		sched.Run(from - 1)
+		before = s.SndUna()
+	}
+	sched.Run(to)
+	return before, s.SndUna()
+}
+
+// goodputBps is the paper's "effective throughput": bytes acknowledged
+// over [from, to], in bits per second.
+func goodputBps(bytes int64, from, to sim.Time) float64 {
+	if to <= from || bytes <= 0 {
+		return 0
+	}
+	return float64(bytes) * 8 / (to - from).Seconds()
+}
 
 // Table is a simple column-aligned text table.
 type Table struct {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 	"rrtcp/internal/workload"
 )
 
@@ -440,18 +440,20 @@ func TestBurstyShape(t *testing.T) {
 }
 
 func TestFigure5TraceRunShowsRRPhases(t *testing.T) {
-	samples, err := figure5TraceRun(Figure5Config{Drops: 3}, workload.RR)
-	if err != nil {
+	cfg := Figure5Config{Drops: 3}
+	cfg.fillDefaults()
+	ring := telemetry.NewRing(0)
+	if _, err := figure5Run(cfg, workload.RR, telemetry.NewBus(ring)); err != nil {
 		t.Fatal(err)
 	}
 	var sawRecovery, sawProbe, sawExit bool
-	for _, s := range samples {
-		switch s.Kind {
-		case trace.EvRecovery:
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case telemetry.KRecoveryEnter:
 			sawRecovery = true
-		case trace.EvPhaseFlip:
+		case telemetry.KRetreatProbe:
 			sawProbe = true
-		case trace.EvExit:
+		case telemetry.KRecoveryExit:
 			sawExit = true
 		}
 	}

@@ -166,18 +166,18 @@ func fairShareRun(cfg FairShareConfig, disc string, seed int64) (FairShareRow, e
 
 	sched.Run(cfg.Horizon)
 
-	row := FairShareRow{Discipline: disc, Timeouts: flow.Trace.Timeouts}
+	row := FairShareRow{Discipline: disc, Timeouts: uint64(flow.Sender.Timeouts())}
 	// Without delayed ACKs the receiver emits exactly one ACK per data
 	// segment it processes.
 	acksSent := float64(flow.Receiver.Segments)
-	acksGot := float64(len(flow.Trace.SamplesOf(ackRecvKind)))
+	acksGot := float64(flow.Sender.Acks())
 	if acksSent > 0 {
 		row.AckLossRate = 1 - acksGot/acksSent
 		if row.AckLossRate < 0 {
 			row.AckLossRate = 0
 		}
 	}
-	if delay, ok := flow.Trace.TransferDelay(); ok {
+	if delay, ok := flow.Sender.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
 	}

@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/sweep"
 	"rrtcp/internal/tcp"
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 	"rrtcp/internal/workload"
 )
 
@@ -60,7 +61,7 @@ type Figure6Panel struct {
 	Variant workload.Kind `json:"variant"`
 	// Flow0Seq is the (time, packet number) send/retransmit series of
 	// the first flow — the paper's sequence plot.
-	Flow0Seq []trace.Point `json:"flow0Seq"`
+	Flow0Seq []Point `json:"flow0Seq"`
 	// Flow0GoodputBps is the first flow's effective throughput over
 	// the run.
 	Flow0GoodputBps float64 `json:"flow0GoodputBps"`
@@ -205,19 +206,31 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 			Window:  30,
 		}
 	}
+	// Only the first flow is plotted, so only it publishes events.
+	plot := &seqPlot{}
+	specs[0].Telemetry = telemetry.NewBus(plot)
 	flows, err := workload.InstallAll(sched, d, specs)
 	if err != nil {
 		return Figure6Panel{}, err
 	}
 
 	// Sample bottleneck utilization every 100 ms: bits forwarded per
-	// interval over the link capacity.
+	// interval over the link capacity. The first tick only primes the
+	// counter, so it contributes a zero interval to the mean.
 	const sampleEvery = 100 * time.Millisecond
 	link := d.ForwardLink()
-	util := trace.NewSampler(sched, sampleEvery, trace.DeltaProbe(func() float64 {
-		return float64(link.TxBytes) * 8
-	}))
-	if err := util.Start(); err != nil {
+	var ticks int
+	var firstTx, lastTx uint64
+	var util *sim.Timer
+	util = sched.NewTimer(func() {
+		if ticks == 0 {
+			firstTx = link.TxBytes
+		}
+		lastTx = link.TxBytes
+		ticks++
+		util.Reset(sampleEvery)
+	})
+	if err := util.At(sched.Now() + sampleEvery); err != nil {
 		return Figure6Panel{}, err
 	}
 
@@ -225,18 +238,76 @@ func figure6Run(cfg Figure6Config, kind workload.Kind, seed int64) (Figure6Panel
 
 	panel := Figure6Panel{
 		Variant:        kind,
-		Flow0Seq:       flows[0].Trace.SeqSeries(int64(tcp.DefaultMSS)),
-		Flow0Timeouts:  float64(flows[0].Trace.Timeouts),
+		Flow0Seq:       plot.pts,
+		Flow0Timeouts:  float64(flows[0].Sender.Timeouts()),
 		REDEarlyDrops:  red.EarlyDrops,
 		REDForcedDrops: red.ForcedDrops,
 	}
-	panel.Flow0GoodputBps = flows[0].Trace.GoodputBps(0, cfg.Duration)
-	panel.Flow0Packets = flows[0].Trace.BytesAcked / int64(tcp.DefaultMSS)
+	panel.Flow0GoodputBps = goodputBps(flows[0].Sender.SndUna(), 0, cfg.Duration)
+	panel.Flow0Packets = flows[0].Sender.SndUna() / int64(tcp.DefaultMSS)
 	for _, f := range flows {
-		panel.AggregateGoodputBps += f.Trace.GoodputBps(0, cfg.Duration)
+		panel.AggregateGoodputBps += goodputBps(f.Sender.SndUna(), 0, cfg.Duration)
 	}
-	panel.BottleneckUtilization = util.Mean() / (dcfg.BottleneckBps * sampleEvery.Seconds())
+	if ticks > 0 {
+		meanBits := float64(lastTx-firstTx) * 8 / float64(ticks)
+		panel.BottleneckUtilization = meanBits / (dcfg.BottleneckBps * sampleEvery.Seconds())
+	}
 	return panel, nil
+}
+
+// seqPlot collects a flow's (time, packet number) points for its send
+// and retransmit events — the standard TCP sequence plot of Figure 6.
+type seqPlot struct {
+	pts []Point
+}
+
+// Emit implements telemetry.Sink.
+func (p *seqPlot) Emit(ev telemetry.Event) {
+	if ev.Kind == telemetry.KSend || ev.Kind == telemetry.KRetransmit {
+		p.pts = append(p.pts, Point{X: ev.At.Seconds(), Y: float64(ev.Seq) / float64(tcp.DefaultMSS)})
+	}
+}
+
+// Point is an (x, y) pair for plotted series.
+type Point struct {
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
+}
+
+// renderASCII draws a crude scatter plot of the points — enough to eyeball
+// the Figure 6 shapes in a terminal. Width and height are in cells.
+func renderASCII(pts []Point, width, height int) string {
+	if len(pts) == 0 || width < 2 || height < 2 {
+		return "(no data)\n"
+	}
+	minX, maxX := pts[0].X, pts[0].X
+	minY, maxY := pts[0].Y, pts[0].Y
+	for _, p := range pts {
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
+	}
+	if maxX == minX {
+		maxX = minX + 1
+	}
+	if maxY == minY {
+		maxY = minY + 1
+	}
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	for _, p := range pts {
+		x := int((p.X - minX) / (maxX - minX) * float64(width-1))
+		y := int((p.Y - minY) / (maxY - minY) * float64(height-1))
+		grid[height-1-y][x] = '*'
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "y: %.1f..%.1f  x: %.2fs..%.2fs\n", minY, maxY, minX, maxX)
+	for _, row := range grid {
+		b.Write(row)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // Render returns the panels as a summary table followed by ASCII
@@ -259,7 +330,7 @@ func (r *Figure6Result) Render() string {
 	out := t.String()
 	for _, p := range r.Panels {
 		out += fmt.Sprintf("\nsequence plot (%s): packets sent vs time\n%s",
-			p.Variant, trace.RenderASCII(p.Flow0Seq, 72, 18))
+			p.Variant, renderASCII(p.Flow0Seq, 72, 18))
 	}
 	return out
 }

@@ -212,11 +212,10 @@ func figure7Run(cfg Figure7Config, kind workload.Kind, p float64, seed int64) (f
 		return 0, 0, err
 	}
 
-	sched.Run(cfg.Duration)
-
-	bw := flow.Trace.GoodputBps(cfg.WarmUp, cfg.Duration)
+	before, by := runAcked(sched, flow.Sender, cfg.WarmUp, cfg.Duration)
+	bw := goodputBps(by-before, cfg.WarmUp, cfg.Duration)
 	window := bw * cfg.RTT.Seconds() / float64(tcp.DefaultMSS*8)
-	return window, flow.Trace.Timeouts, nil
+	return window, uint64(flow.Sender.Timeouts()), nil
 }
 
 // Render returns the sweep as a table of measured vs model windows.

@@ -164,7 +164,7 @@ func smoothStartRun(cfg SmoothStartConfig, smooth bool, seed int64) (SmoothStart
 		SlowStartDrops: earlyDrops,
 		TotalDrops:     d.BottleneckQueue().Drops,
 	}
-	if delay, ok := flow.Trace.TransferDelay(); ok {
+	if delay, ok := flow.Sender.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
 	}

@@ -222,8 +222,8 @@ func table5Run(cfg Table5Config, tc Table5Case, seed int64) (Table5Row, error) {
 	}
 	sched.Run(cfg.Horizon)
 
-	row := Table5Row{Case: tc, LossRate: flows[target].Trace.LossRate()}
-	if delay, ok := flows[target].Trace.TransferDelay(); ok {
+	row := Table5Row{Case: tc, LossRate: flows[target].Sender.LossRate()}
+	if delay, ok := flows[target].Sender.TransferDelay(); ok {
 		row.Finished = true
 		row.TransferDelay = delay
 		row.GoodputBps = float64(cfg.TargetBytes) * 8 / delay.Seconds()

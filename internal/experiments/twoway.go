@@ -204,13 +204,13 @@ func twoWayRun(cfg TwoWayConfig, kind workload.Kind, seed int64) (sim.Time, floa
 	sched.Run(cfg.Horizon)
 
 	acksSent := float64(fwd.Receiver.Segments)
-	acksGot := float64(len(fwd.Trace.SamplesOf(ackRecvKind)))
+	acksGot := float64(fwd.Sender.Acks())
 	ackLoss := 0.0
 	if acksSent > 0 && acksGot < acksSent {
 		ackLoss = 1 - acksGot/acksSent
 	}
-	delay, ok := fwd.Trace.TransferDelay()
-	return delay, ackLoss, fwd.Trace.Timeouts, ok, nil
+	delay, ok := fwd.Sender.TransferDelay()
+	return delay, ackLoss, uint64(fwd.Sender.Timeouts()), ok, nil
 }
 
 // Render returns the comparison as a text table.

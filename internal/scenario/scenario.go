@@ -5,10 +5,12 @@
 package scenario
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"rrtcp/internal/netem"
@@ -327,6 +329,10 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 		telemetry.AttachSchedulerProfile(sched, s.Telemetry, 4096)
 	}
 
+	var trace *csvTrace
+	if w != nil {
+		trace = newCSVTrace(w)
+	}
 	flows := make([]*workload.Flow, 0, len(s.Flows))
 	for i, fs := range s.Flows {
 		kind, err := workload.ParseKind(fs.Kind)
@@ -349,6 +355,14 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 			DelayedAck:      fs.DelayedAck,
 			SmoothStart:     fs.SmoothStart,
 			Telemetry:       s.Telemetry,
+		}
+		if i == 0 && trace != nil {
+			// Flow 0 publishes to a private bus that feeds the CSV and
+			// passes every event on to the scenario's bus.
+			spec.Telemetry = telemetry.NewBus(trace)
+			if s.Telemetry.Enabled() {
+				spec.Telemetry.Subscribe(s.Telemetry)
+			}
 		}
 		var flow *workload.Flow
 		if fs.Reverse {
@@ -373,8 +387,8 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 
 	sched.Run(time.Duration(s.Duration))
 
-	if w != nil && len(flows) > 0 {
-		if err := flows[0].Trace.WriteCSV(w); err != nil {
+	if trace != nil {
+		if err := trace.flush(); err != nil {
 			return nil, err
 		}
 	}
@@ -385,16 +399,19 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 		BottleneckDrops: d.BottleneckQueue().Drops,
 	}
 	for i, flow := range flows {
+		snd := flow.Sender
 		fr := FlowReport{
 			Flow:        i,
 			Kind:        flow.Spec.Kind.String(),
 			Reverse:     s.Flows[i].Reverse,
-			GoodputBps:  flow.Trace.GoodputBps(0, time.Duration(s.Duration)),
-			BytesAcked:  flow.Trace.BytesAcked,
-			Retransmits: flow.Trace.Retransmits,
-			Timeouts:    flow.Trace.Timeouts,
+			BytesAcked:  snd.SndUna(),
+			Retransmits: uint64(snd.Retransmits()),
+			Timeouts:    uint64(snd.Timeouts()),
 		}
-		if delay, ok := flow.Trace.TransferDelay(); ok {
+		if s.Duration > 0 {
+			fr.GoodputBps = float64(fr.BytesAcked) * 8 / time.Duration(s.Duration).Seconds()
+		}
+		if delay, ok := snd.TransferDelay(); ok {
 			fr.Finished = true
 			fr.Delay = Duration(delay)
 			// For finished transfers, goodput over the transfer itself is
@@ -406,6 +423,65 @@ func (s *Spec) RunWithTrace(w io.Writer) (*Report, error) {
 		rep.Flows = append(rep.Flows, fr)
 	}
 	return rep, nil
+}
+
+// csvTrace streams one flow's events as CSV rows of
+// time_s,event,seq,value — the raw material for external analysis of a
+// run (spreadsheets, pandas, gnuplot). Write errors are sticky and
+// surface from flush.
+type csvTrace struct {
+	w *csv.Writer
+}
+
+func newCSVTrace(w io.Writer) *csvTrace {
+	c := &csvTrace{w: csv.NewWriter(w)}
+	c.w.Write([]string{"time_s", "event", "seq", "value"}) //nolint:errcheck // reported by flush
+	return c
+}
+
+// Emit implements telemetry.Sink.
+func (c *csvTrace) Emit(ev telemetry.Event) {
+	name, value := csvEvent(ev)
+	if name == "" {
+		return
+	}
+	c.w.Write([]string{ //nolint:errcheck // reported by flush
+		strconv.FormatFloat(ev.At.Seconds(), 'f', 6, 64),
+		name,
+		strconv.FormatInt(ev.Seq, 10),
+		strconv.FormatFloat(value, 'f', 3, 64),
+	})
+}
+
+func (c *csvTrace) flush() error {
+	c.w.Flush()
+	if err := c.w.Error(); err != nil {
+		return fmt.Errorf("scenario: trace csv: %w", err)
+	}
+	return nil
+}
+
+// csvEvent names a flow event in the trace CSV and picks its value
+// column; events outside the per-flow vocabulary get no row. Recovery
+// entry is "recovery", RR's retreat→probe flip is "probe", and a
+// further-loss row carries actnum−ndup.
+func csvEvent(ev telemetry.Event) (name string, value float64) {
+	switch ev.Kind {
+	case telemetry.KSend, telemetry.KRetransmit, telemetry.KAck, telemetry.KDupAck,
+		telemetry.KTimeout, telemetry.KFlowDone, telemetry.KDeliver:
+		return ev.Kind.String(), 0
+	case telemetry.KCwnd:
+		return "cwnd", ev.A
+	case telemetry.KRecoveryEnter:
+		return "recovery", ev.A
+	case telemetry.KRecoveryExit:
+		return "exit", ev.A
+	case telemetry.KFurtherLoss:
+		return "further-loss", ev.A - ev.B
+	case telemetry.KRetreatProbe:
+		return "probe", ev.A
+	}
+	return "", 0
 }
 
 // RenderText formats the report as an aligned table.

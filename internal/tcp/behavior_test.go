@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 // This file pins exact numeric behaviour of the classic state machines
@@ -17,17 +17,17 @@ func TestRenoEntryInflatesByThree(t *testing.T) {
 	dropBurst(n, 60, 1)
 	n.start(t)
 	n.run(5 * time.Second)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
 	if len(recs) == 0 {
 		t.Fatal("no recovery")
 	}
-	entryCwnd := recs[0].Value
+	entryCwnd := recs[0].A
 	// The first cwnd sample after entry is ssthresh + 3 where
 	// ssthresh = flight/2; flight ≈ cwnd at entry.
 	var after float64 = -1
-	for _, s := range n.tr.SamplesOf(trace.EvCwnd) {
+	for _, s := range n.ring.EventsOf(telemetry.KCwnd) {
 		if s.At >= recs[0].At {
-			after = s.Value
+			after = s.A
 			break
 		}
 	}
@@ -44,8 +44,8 @@ func TestRenoInflationPerDupAck(t *testing.T) {
 	dropBurst(n, 60, 1)
 	n.start(t)
 	n.run(5 * time.Second)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
-	exits := n.tr.SamplesOf(trace.EvExit)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
+	exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 	if len(recs) == 0 || len(exits) == 0 {
 		t.Fatal("recovery/exit missing")
 	}
@@ -53,17 +53,17 @@ func TestRenoInflationPerDupAck(t *testing.T) {
 	// beyond the third.
 	var increments int
 	var last float64 = -1
-	for _, s := range n.tr.SamplesOf(trace.EvCwnd) {
+	for _, s := range n.ring.EventsOf(telemetry.KCwnd) {
 		if s.At <= recs[0].At || s.At >= exits[0].At {
 			continue
 		}
-		if last >= 0 && s.Value > last {
+		if last >= 0 && s.A > last {
 			increments++
 		}
-		last = s.Value
+		last = s.A
 	}
 	dupsInRecovery := 0
-	for _, s := range n.tr.SamplesOf(trace.EvDupAck) {
+	for _, s := range n.ring.EventsOf(telemetry.KDupAck) {
 		if s.At > recs[0].At && s.At < exits[0].At {
 			dupsInRecovery++
 		}
@@ -85,11 +85,11 @@ func TestNewRenoPartialDeflation(t *testing.T) {
 	dropBurst(n, 60, 3)
 	n.start(t)
 	n.run(5 * time.Second)
-	exits := n.tr.SamplesOf(trace.EvExit)
+	exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 	if len(exits) != 1 {
 		t.Fatalf("%d exits, want 1", len(exits))
 	}
-	if got, want := exits[0].Value, n.sender.Ssthresh(); got != want {
+	if got, want := exits[0].A, n.sender.Ssthresh(); got != want {
 		// ssthresh may have been re-derived after exit; compare to the
 		// recovery-time value recorded in the exit sample instead.
 		if got < 2 {
@@ -105,11 +105,11 @@ func TestTahoeSsthreshHalvesFlight(t *testing.T) {
 	dropBurst(n, 60, 1)
 	n.start(t)
 	n.run(5 * time.Second)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
 	if len(recs) == 0 {
 		t.Fatal("no fast retransmit")
 	}
-	entryCwnd := recs[0].Value // ≈ flight at entry
+	entryCwnd := recs[0].A // ≈ flight at entry
 	got := n.sender.Ssthresh()
 	// ssthresh was set to flight/2 at entry and must still be within a
 	// couple packets of it (growth after recovery only raises cwnd).
@@ -128,8 +128,8 @@ func TestDupAckRequiresOutstandingData(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if n.tr.DupAcks != 0 {
-		t.Fatalf("%d dup ACKs on a clean ordered transfer", n.tr.DupAcks)
+	if len(n.ring.EventsOf(telemetry.KDupAck)) != 0 {
+		t.Fatalf("%d dup ACKs on a clean ordered transfer", len(n.ring.EventsOf(telemetry.KDupAck)))
 	}
 }
 

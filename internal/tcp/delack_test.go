@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 func newDelAckRecv() (*Receiver, *ackSink) {
@@ -96,8 +96,8 @@ func TestDelayedAckHalvesAckCount(t *testing.T) {
 	slow.start(t)
 	slow.run(30 * time.Second)
 
-	fastN := len(fast.tr.SamplesOf(trace.EvAckRecv))
-	slowN := len(slow.tr.SamplesOf(trace.EvAckRecv))
+	fastN := len(fast.ring.EventsOf(telemetry.KAck))
+	slowN := len(slow.ring.EventsOf(telemetry.KAck))
 	if slowN >= fastN {
 		t.Fatalf("delayed ACKs produced no reduction: %d vs %d ACKs", slowN, fastN)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 func newFACKNet(t *testing.T, drops int64) *testNet {
@@ -26,11 +26,11 @@ func TestFACKCompletesBurstLoss(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 3 {
-		t.Fatalf("%d retransmits, want 3", n.tr.Retransmits)
+	if n.sender.Retransmits() != 3 {
+		t.Fatalf("%d retransmits, want 3", n.sender.Retransmits())
 	}
 }
 
@@ -40,12 +40,12 @@ func TestFACKTriggersBeforeThreeDupAcks(t *testing.T) {
 	n := newFACKNet(t, 4)
 	n.start(t)
 	n.run(60 * time.Second)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
 	if len(recs) == 0 {
 		t.Fatal("no recovery")
 	}
 	dupsBefore := 0
-	for _, s := range n.tr.SamplesOf(trace.EvDupAck) {
+	for _, s := range n.ring.EventsOf(telemetry.KDupAck) {
 		if s.At <= recs[0].At {
 			dupsBefore++
 		}
@@ -61,8 +61,8 @@ func TestFACKRecoversHeavyBurstWithoutTimeout(t *testing.T) {
 	n := newFACKNet(t, 9)
 	n.start(t)
 	n.run(60 * time.Second)
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("FACK timed out on a 9-packet burst (%d)", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("FACK timed out on a 9-packet burst (%d)", n.sender.Timeouts())
 	}
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
@@ -73,7 +73,7 @@ func TestFACKSingleRecoveryPerBurst(t *testing.T) {
 	n := newFACKNet(t, 5)
 	n.start(t)
 	n.run(60 * time.Second)
-	if got := len(n.tr.SamplesOf(trace.EvRecovery)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRecoveryEnter)); got != 1 {
 		t.Fatalf("%d window cuts for one burst, want 1", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestFACKRetransmissionLossTimesOut(t *testing.T) {
 	n.loss.DropRetransmit(0, 40*1000)
 	n.start(t)
 	n.run(60 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("lost retransmission must force a timeout")
 	}
 	if !n.sender.Done() {

@@ -6,7 +6,7 @@ import (
 
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 // testNet is a two-endpoint loopback network: sender → (loss) → data
@@ -18,7 +18,7 @@ type testNet struct {
 	recv    *Receiver
 	loss    *netem.SeqLoss
 	ackLoss *netem.SeqLoss
-	tr      *trace.FlowTrace
+	ring    *telemetry.Ring
 }
 
 type testNetConfig struct {
@@ -33,17 +33,19 @@ type testNetConfig struct {
 func newTestNet(t *testing.T, strat Strategy, cfg testNetConfig) *testNet {
 	t.Helper()
 	sched := sim.NewScheduler(1)
-	tr := trace.New(0, strat.Name())
+	ring := telemetry.NewRing(0)
+	bus := telemetry.NewBus(ring)
 
-	n := &testNet{sched: sched, tr: tr}
+	n := &testNet{sched: sched, ring: ring}
 
 	dataLink := netem.Must(netem.NewLink(sched, 10e6, 10*time.Millisecond, netem.Must(netem.NewDropTail(1000)), nil))
 	ackLink := netem.Must(netem.NewLink(sched, 10e6, 10*time.Millisecond, netem.Must(netem.NewDropTail(1000)), nil))
 	n.loss = netem.NewSeqLoss(dataLink)
 	n.ackLoss = netem.NewSeqLoss(ackLink)
 
-	n.recv = NewReceiver(sched, 0, n.ackLoss, tr)
+	n.recv = NewReceiver(sched, 0, n.ackLoss)
 	n.recv.SACKEnabled = cfg.sack
+	n.recv.Telemetry = bus
 	dataLink.Dst = n.recv
 
 	if cfg.totalBytes == 0 {
@@ -55,7 +57,7 @@ func newTestNet(t *testing.T, strat Strategy, cfg testNetConfig) *testNet {
 		InitialSSThresh: cfg.ssthresh,
 		TotalBytes:      cfg.totalBytes,
 		SmoothStart:     cfg.smoothStart,
-		Trace:           tr,
+		Telemetry:       bus,
 		OnDone:          cfg.onDone,
 	})
 	if err != nil {
@@ -76,6 +78,6 @@ func (n *testNet) start(t *testing.T) {
 func (n *testNet) run(d sim.Time) { n.sched.Run(d) }
 
 // counts returns (sends, retransmits) recorded so far.
-func (n *testNet) counts() (uint64, uint64) {
-	return n.tr.DataSent, n.tr.Retransmits
+func (n *testNet) counts() (uint32, uint32) {
+	return n.sender.Sends(), n.sender.Retransmits()
 }

@@ -6,7 +6,6 @@ import (
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
-	"rrtcp/internal/trace"
 )
 
 // Receiver is the data sink of a connection. Matching the paper's
@@ -46,8 +45,6 @@ type Receiver struct {
 	// consumed data packet back.
 	Pool *netem.PacketPool
 
-	tr *trace.FlowTrace
-
 	// Telemetry, when non-nil, receives the receiver's delivery events.
 	Telemetry *telemetry.Bus
 
@@ -67,14 +64,13 @@ type seqRange struct {
 var _ netem.Node = (*Receiver)(nil)
 
 // NewReceiver builds a receiver whose ACKs go to out.
-func NewReceiver(sched *sim.Scheduler, flow int, out netem.Node, tr *trace.FlowTrace) *Receiver {
+func NewReceiver(sched *sim.Scheduler, flow int, out netem.Node) *Receiver {
 	r := &Receiver{
 		sched:    sched,
 		out:      out,
 		flow:     flow,
 		AckSize:  40,
 		AckDelay: 200 * time.Millisecond,
-		tr:       tr,
 	}
 	r.ackTimer = sched.NewTimer(r.flushAck)
 	return r
@@ -152,15 +148,15 @@ func (r *Receiver) advance(end int64) {
 		r.blocks = r.blocks[1:]
 	}
 	r.Delivered = r.rcvNxt
-	ev := telemetry.Event{
-		At:   r.sched.Now(),
-		Comp: telemetry.CompRecv,
-		Kind: telemetry.KDeliver,
-		Flow: int32(r.flow),
-		Seq:  r.rcvNxt,
+	if r.Telemetry.Enabled() {
+		r.Telemetry.Publish(telemetry.Event{
+			At:   r.sched.Now(),
+			Comp: telemetry.CompRecv,
+			Kind: telemetry.KDeliver,
+			Flow: int32(r.flow),
+			Seq:  r.rcvNxt,
+		})
 	}
-	r.tr.OnEvent(ev)
-	r.Telemetry.Publish(ev)
 }
 
 func (r *Receiver) insert(nb seqRange) {

@@ -25,7 +25,7 @@ func (a *ackSink) last() *netem.Packet {
 
 func newRecv(sack bool) (*Receiver, *ackSink) {
 	sink := &ackSink{}
-	r := NewReceiver(sim.NewScheduler(1), 0, sink, nil)
+	r := NewReceiver(sim.NewScheduler(1), 0, sink)
 	r.SACKEnabled = sack
 	return r, sink
 }

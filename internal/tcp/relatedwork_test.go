@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 func TestRightEdgeCompletesBurstLoss(t *testing.T) {
@@ -12,8 +12,8 @@ func TestRightEdgeCompletesBurstLoss(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts", n.sender.Timeouts())
 	}
 }
 
@@ -30,13 +30,13 @@ func TestRightEdgeSendsPerDupAck(t *testing.T) {
 }
 
 func sendsDuringRecovery(n *testNet) int {
-	samples := n.tr.Samples()
+	samples := n.ring.Events()
 	var entry, exit = time.Duration(-1), time.Duration(-1)
 	for _, s := range samples {
-		if s.Kind == trace.EvRecovery && entry < 0 {
+		if s.Kind == telemetry.KRecoveryEnter && entry < 0 {
 			entry = s.At
 		}
-		if s.Kind == trace.EvExit && exit < 0 {
+		if s.Kind == telemetry.KRecoveryExit && exit < 0 {
 			exit = s.At
 		}
 	}
@@ -48,7 +48,7 @@ func sendsDuringRecovery(n *testNet) int {
 	}
 	count := 0
 	for _, s := range samples {
-		if s.Kind == trace.EvSend && s.At > entry && s.At < exit {
+		if s.Kind == telemetry.KSend && s.At > entry && s.At < exit {
 			count++
 		}
 	}
@@ -70,16 +70,16 @@ func TestLinKungSendsOnFirstTwoDups(t *testing.T) {
 	// Count new-data sends in the window between the loss being
 	// detectable (first dup ACK) and fast retransmit: Lin-Kung sends
 	// two extra packets New-Reno would not.
-	rtx := n.tr.SamplesOf(trace.EvRetransmit)
+	rtx := n.ring.EventsOf(telemetry.KRetransmit)
 	if len(rtx) == 0 {
 		t.Fatal("no fast retransmit")
 	}
-	dups := n.tr.SamplesOf(trace.EvDupAck)
+	dups := n.ring.EventsOf(telemetry.KDupAck)
 	if len(dups) < 2 {
 		t.Fatal("not enough duplicate ACKs")
 	}
 	extra := 0
-	for _, s := range n.tr.SamplesOf(trace.EvSend) {
+	for _, s := range n.ring.EventsOf(telemetry.KSend) {
 		if s.At >= dups[0].At && s.At < rtx[0].At {
 			extra++
 		}
@@ -94,11 +94,11 @@ func TestLinKungRecoveryMatchesNewReno(t *testing.T) {
 	if !n.sender.Done() {
 		t.Fatal("transfer did not complete")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 3 {
-		t.Fatalf("%d retransmits, want 3 (New-Reno style recovery)", n.tr.Retransmits)
+	if n.sender.Retransmits() != 3 {
+		t.Fatalf("%d retransmits, want 3 (New-Reno style recovery)", n.sender.Retransmits())
 	}
 }
 
@@ -121,7 +121,7 @@ func TestRightEdgeRetransmissionLossTimesOut(t *testing.T) {
 	n.loss.DropRetransmit(0, 40*1000)
 	n.start(t)
 	n.run(60 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("lost retransmission must force a timeout")
 	}
 	if !n.sender.Done() {

@@ -13,7 +13,6 @@ import (
 	"rrtcp/internal/netem"
 	"rrtcp/internal/sim"
 	"rrtcp/internal/telemetry"
-	"rrtcp/internal/trace"
 )
 
 // DupThresh is the classic three-duplicate-ACK fast-retransmit trigger.
@@ -76,12 +75,9 @@ type Config struct {
 	// half of ssthresh, growth slows from doubling to ×1.5 per RTT so
 	// the final approach to the knee does not burst the gateway buffer.
 	SmoothStart bool
-	// Trace, if non-nil, records the flow's events.
-	Trace *trace.FlowTrace
-	// Telemetry, if non-nil, receives every sender event the trace
-	// does (plus recovery-internal ones) as structured telemetry. The
-	// FlowTrace is wired in as a direct per-flow subscriber of the same
-	// event stream, so the two never diverge.
+	// Telemetry, if non-nil, receives every sender event (segment, ACK
+	// and timer lifecycle plus recovery phase transitions) as structured
+	// telemetry.
 	Telemetry *telemetry.Bus
 	// OnDone runs when the transfer completes (all bytes acked).
 	OnDone func()
@@ -113,7 +109,6 @@ type Sender struct {
 	out   netem.Node
 	cfg   Config
 	strat Strategy
-	tr    *trace.FlowTrace
 	bus   *telemetry.Bus
 
 	sndUna int64 // lowest unacknowledged byte
@@ -137,10 +132,14 @@ type Sender struct {
 	rttSentAt  sim.Time
 	rttPending bool
 
-	// Flow-lifecycle accounting for the flow-done event: counters cost
-	// an integer increment on paths that already publish telemetry, so
-	// aggregate flow analytics need not retain the event stream.
+	// Flow-lifecycle accounting: each counter is incremented exactly
+	// where its event is emitted, so per-flow metrics (goodput, transfer
+	// delay, loss rate) and aggregate flow analytics need not retain the
+	// event stream.
 	startedAt    sim.Time
+	doneAt       sim.Time
+	sendCount    uint32 // first transmissions (send events)
+	ackCount     uint32 // ACKs processed (ack events)
 	rtxCount     uint32
 	timeoutCount uint32
 
@@ -161,7 +160,6 @@ func New(sched *sim.Scheduler, out netem.Node, strat Strategy, cfg Config) (*Sen
 		out:      out,
 		cfg:      cfg,
 		strat:    strat,
-		tr:       cfg.Trace,
 		bus:      cfg.Telemetry,
 		pool:     cfg.Pool,
 		cwnd:     1,
@@ -186,7 +184,6 @@ func (s *Sender) Start(delay sim.Time) error {
 // onStart fires when the configured start delay elapses.
 func (s *Sender) onStart() {
 	s.startedAt = s.sched.Now()
-	s.tr.SetStart(s.startedAt)
 	if s.bus.Enabled() {
 		// Built inline rather than via Emit: lifecycle events carry the
 		// variant name in Src so flow-level sinks can aggregate per
@@ -207,11 +204,39 @@ func (s *Sender) onStart() {
 // until the start delay elapses).
 func (s *Sender) StartedAt() sim.Time { return s.startedAt }
 
+// Sends returns the count of first transmissions.
+func (s *Sender) Sends() uint32 { return s.sendCount }
+
+// Acks returns the count of ACKs processed: every ACK that passed the
+// stale and forged-ACK checks, duplicates included.
+func (s *Sender) Acks() uint32 { return s.ackCount }
+
 // Retransmits returns the cumulative retransmission count.
 func (s *Sender) Retransmits() uint32 { return s.rtxCount }
 
 // Timeouts returns the cumulative retransmission-timer expirations.
 func (s *Sender) Timeouts() uint32 { return s.timeoutCount }
+
+// TransferDelay is the elapsed time from the flow's start to the
+// completion of its transfer; it reports false if the transfer has not
+// completed.
+func (s *Sender) TransferDelay() (sim.Time, bool) {
+	if !s.done {
+		return 0, false
+	}
+	return s.doneAt - s.startedAt, true
+}
+
+// LossRate is the fraction of data transmissions (retransmissions
+// included) that were retransmissions — the "packet loss rate" metric
+// of the paper's Table 5.
+func (s *Sender) LossRate() float64 {
+	total := uint64(s.sendCount) + uint64(s.rtxCount)
+	if total == 0 {
+		return 0
+	}
+	return float64(s.rtxCount) / float64(total)
+}
 
 // --- accessors used by strategies and experiments ---
 
@@ -294,19 +319,15 @@ func (s *Sender) TimerArmed() bool { return s.rtxTimer.Armed() }
 // Strategy exposes the congestion-control strategy driving this sender.
 func (s *Sender) Strategy() Strategy { return s.strat }
 
-// Trace returns the attached flow trace (may be nil).
-func (s *Sender) Trace() *trace.FlowTrace { return s.tr }
-
 // Telemetry returns the attached event bus (may be nil).
 func (s *Sender) Telemetry() *telemetry.Bus { return s.bus }
 
-// Emit publishes one structured event for this flow: to the attached
-// FlowTrace (a direct subscriber of the same stream) and to the shared
-// telemetry bus. Strategies use it for recovery phase transitions; the
-// sender itself uses it for the segment/ACK/timer lifecycle. With no
-// trace and a nil bus it costs two nil checks.
+// Emit publishes one structured event for this flow on the telemetry
+// bus. Strategies use it for recovery phase transitions; the sender
+// itself uses it for the segment/ACK/timer lifecycle. With a nil or
+// empty bus it costs one flag check.
 func (s *Sender) Emit(comp telemetry.Component, kind telemetry.Kind, seq int64, a, b float64) {
-	if s.tr == nil && !s.bus.Enabled() {
+	if !s.bus.Enabled() {
 		return
 	}
 	ev := telemetry.Event{
@@ -318,7 +339,6 @@ func (s *Sender) Emit(comp telemetry.Component, kind telemetry.Kind, seq int64, 
 		A:    a,
 		B:    b,
 	}
-	s.tr.OnEvent(ev)
 	s.bus.Publish(ev)
 }
 
@@ -364,6 +384,7 @@ func (s *Sender) Receive(p *netem.Packet) {
 		SACK:  p.SACK,
 		IsDup: p.AckNo == s.sndUna && s.sndNxt > s.sndUna,
 	}
+	s.ackCount++
 	s.Emit(telemetry.CompSender, telemetry.KAck, p.AckNo, 0, 0)
 	if ev.IsDup {
 		s.Emit(telemetry.CompSender, telemetry.KDupAck, p.AckNo, 0, 0)
@@ -404,6 +425,7 @@ func (s *Sender) AdvanceUna(ackNo int64) {
 
 func (s *Sender) complete() {
 	s.done = true
+	s.doneAt = s.sched.Now()
 	s.rtxTimer.Stop()
 	// The accounting event precedes the lifecycle close so stream
 	// consumers (span assembly included) see "done" as the flow's final
@@ -536,6 +558,7 @@ func (s *Sender) transmit(seq int64, n int, rtx bool) {
 		s.rtxCount++
 		s.Emit(telemetry.CompSender, telemetry.KRetransmit, seq, 0, 0)
 	} else {
+		s.sendCount++
 		s.Emit(telemetry.CompSender, telemetry.KSend, seq, 0, 0)
 		if !s.rttPending {
 			s.rttSeq = seq

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"rrtcp/internal/netem"
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 var stalePacket = netem.Packet{Flow: 0, Kind: netem.Ack, AckNo: 1000, Size: 40}
@@ -37,8 +37,8 @@ func TestSenderCompletesLosslessTransfer(t *testing.T) {
 	if _, rtx := n.counts(); rtx != 0 {
 		t.Fatalf("%d retransmissions on a lossless path", rtx)
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts on a lossless path", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts on a lossless path", n.sender.Timeouts())
 	}
 }
 
@@ -83,7 +83,7 @@ func TestSenderTimeoutCollapsesToSlowStart(t *testing.T) {
 	}
 	n.start(t)
 	n.run(10 * time.Second)
-	if n.tr.Timeouts == 0 {
+	if n.sender.Timeouts() == 0 {
 		t.Fatal("no timeout despite total loss of the window tail")
 	}
 	if n.sender.SndUna() < 10*1000 {
@@ -101,7 +101,7 @@ func TestSenderRTOBacksOffExponentially(t *testing.T) {
 	n.loss.DropRetransmit(0, 5*1000)
 	n.start(t)
 	n.run(30 * time.Second)
-	timeouts := n.tr.SamplesOf(trace.EvTimeout)
+	timeouts := n.ring.EventsOf(telemetry.KTimeout)
 	if len(timeouts) < 2 {
 		t.Fatalf("want at least 2 timeouts, got %d", len(timeouts))
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"rrtcp/internal/trace"
+	"rrtcp/internal/telemetry"
 )
 
 // dropBurst registers n consecutive packet drops starting at pkt.
@@ -48,15 +48,15 @@ func TestAllVariantsCompleteAfterBurstLoss(t *testing.T) {
 
 func TestTahoeFastRetransmitCollapsesWindow(t *testing.T) {
 	n := runTransfer(t, NewTahoe(), 1)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
 	if len(recs) != 1 {
 		t.Fatalf("%d fast retransmits, want 1", len(recs))
 	}
 	// The cwnd sample right after recovery entry must be 1 (Tahoe
 	// restarts slow start).
 	var sawCollapse bool
-	for _, s := range n.tr.SamplesOf(trace.EvCwnd) {
-		if s.At >= recs[0].At && s.Value == 1 {
+	for _, s := range n.ring.EventsOf(telemetry.KCwnd) {
+		if s.At >= recs[0].At && s.A == 1 {
 			sawCollapse = true
 			break
 		}
@@ -64,18 +64,18 @@ func TestTahoeFastRetransmitCollapsesWindow(t *testing.T) {
 	if !sawCollapse {
 		t.Fatal("Tahoe did not collapse cwnd to 1 on fast retransmit")
 	}
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("%d timeouts for a single loss", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("%d timeouts for a single loss", n.sender.Timeouts())
 	}
 }
 
 func TestRenoSingleLossNoTimeout(t *testing.T) {
 	n := runTransfer(t, NewReno4BSD(), 1)
-	if n.tr.Timeouts != 0 {
-		t.Fatalf("Reno timed out on a single loss (%d timeouts)", n.tr.Timeouts)
+	if n.sender.Timeouts() != 0 {
+		t.Fatalf("Reno timed out on a single loss (%d timeouts)", n.sender.Timeouts())
 	}
-	if n.tr.Retransmits != 1 {
-		t.Fatalf("%d retransmits, want exactly the lost packet", n.tr.Retransmits)
+	if n.sender.Retransmits() != 1 {
+		t.Fatalf("%d retransmits, want exactly the lost packet", n.sender.Retransmits())
 	}
 }
 
@@ -84,14 +84,14 @@ func TestRenoMultipleLossesStruggle(t *testing.T) {
 	// needs a timeout; New-Reno must not.
 	reno := runTransfer(t, NewReno4BSD(), 3)
 	newreno := runTransfer(t, NewNewReno(), 3)
-	if newreno.tr.Timeouts != 0 {
-		t.Fatalf("New-Reno timed out on a 3-packet burst (%d)", newreno.tr.Timeouts)
+	if newreno.sender.Timeouts() != 0 {
+		t.Fatalf("New-Reno timed out on a 3-packet burst (%d)", newreno.sender.Timeouts())
 	}
-	renoDelay, ok := reno.tr.TransferDelay()
+	renoDelay, ok := reno.sender.TransferDelay()
 	if !ok {
 		t.Fatal("Reno transfer incomplete")
 	}
-	nrDelay, ok := newreno.tr.TransferDelay()
+	nrDelay, ok := newreno.sender.TransferDelay()
 	if !ok {
 		t.Fatal("New-Reno transfer incomplete")
 	}
@@ -102,27 +102,27 @@ func TestRenoMultipleLossesStruggle(t *testing.T) {
 
 func TestNewRenoRecoversOneLossPerRTT(t *testing.T) {
 	n := runTransfer(t, NewNewReno(), 3)
-	if n.tr.Retransmits != 3 {
-		t.Fatalf("%d retransmits, want 3", n.tr.Retransmits)
+	if n.sender.Retransmits() != 3 {
+		t.Fatalf("%d retransmits, want 3", n.sender.Retransmits())
 	}
 	// Retransmissions are spaced roughly one RTT (~21 ms) apart: the
 	// partial-ACK clock.
-	rtx := n.tr.SamplesOf(trace.EvRetransmit)
+	rtx := n.ring.EventsOf(telemetry.KRetransmit)
 	for i := 1; i < len(rtx); i++ {
 		gap := rtx[i].At - rtx[i-1].At
 		if gap < 15*time.Millisecond || gap > 100*time.Millisecond {
 			t.Fatalf("retransmit gap %v, want ~1 RTT", gap)
 		}
 	}
-	if n.tr.Timeouts != 0 {
+	if n.sender.Timeouts() != 0 {
 		t.Fatal("New-Reno timed out")
 	}
 }
 
 func TestNewRenoStaysInRecoveryUntilFullAck(t *testing.T) {
 	n := runTransfer(t, NewNewReno(), 3)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
-	exits := n.tr.SamplesOf(trace.EvExit)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
+	exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 	if len(recs) != 1 || len(exits) != 1 {
 		t.Fatalf("recoveries=%d exits=%d, want exactly 1 each (single signal)", len(recs), len(exits))
 	}
@@ -130,8 +130,8 @@ func TestNewRenoStaysInRecoveryUntilFullAck(t *testing.T) {
 
 func TestSACKRetransmitsAllHolesInFirstRTT(t *testing.T) {
 	n := runTransfer(t, NewSACK(), 3)
-	recs := n.tr.SamplesOf(trace.EvRecovery)
-	rtx := n.tr.SamplesOf(trace.EvRetransmit)
+	recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
+	rtx := n.ring.EventsOf(telemetry.KRetransmit)
 	if len(rtx) != 3 {
 		t.Fatalf("%d retransmits, want 3", len(rtx))
 	}
@@ -141,14 +141,14 @@ func TestSACKRetransmitsAllHolesInFirstRTT(t *testing.T) {
 			t.Fatalf("hole retransmitted %v after entry, want within ~1 RTT", r.At-recs[0].At)
 		}
 	}
-	if n.tr.Timeouts != 0 {
+	if n.sender.Timeouts() != 0 {
 		t.Fatal("SACK timed out on a 3-packet burst")
 	}
 }
 
 func TestSACKSingleRecoveryPerBurst(t *testing.T) {
 	n := runTransfer(t, NewSACK(), 4)
-	if got := len(n.tr.SamplesOf(trace.EvRecovery)); got != 1 {
+	if got := len(n.ring.EventsOf(telemetry.KRecoveryEnter)); got != 1 {
 		t.Fatalf("%d window cuts for one burst, want 1", got)
 	}
 }
@@ -158,10 +158,10 @@ func TestSACKModernSurvivesHeavyBurst(t *testing.T) {
 	// a timeout, the RFC 6675 pipe must not.
 	classic := runTransfer(t, NewSACK(), 9)
 	modern := runTransfer(t, NewSACKModern(), 9)
-	if modern.tr.Timeouts != 0 {
-		t.Fatalf("modern SACK timed out (%d)", modern.tr.Timeouts)
+	if modern.sender.Timeouts() != 0 {
+		t.Fatalf("modern SACK timed out (%d)", modern.sender.Timeouts())
 	}
-	if classic.tr.Timeouts == 0 {
+	if classic.sender.Timeouts() == 0 {
 		t.Skip("classic SACK recovered this burst; stall not triggered at this window")
 	}
 }
@@ -171,13 +171,13 @@ func TestVariantsWindowHalvedAfterRecovery(t *testing.T) {
 		strat := strat
 		t.Run(strat.Name(), func(t *testing.T) {
 			n := runTransfer(t, strat, 1)
-			exits := n.tr.SamplesOf(trace.EvExit)
+			exits := n.ring.EventsOf(telemetry.KRecoveryExit)
 			if len(exits) == 0 {
 				t.Fatal("no recovery exit recorded")
 			}
-			recs := n.tr.SamplesOf(trace.EvRecovery)
-			entryCwnd := recs[0].Value
-			exitCwnd := exits[0].Value
+			recs := n.ring.EventsOf(telemetry.KRecoveryEnter)
+			entryCwnd := recs[0].A
+			exitCwnd := exits[0].A
 			if exitCwnd > entryCwnd*0.75 {
 				t.Fatalf("exit cwnd %.1f not roughly half of entry %.1f", exitCwnd, entryCwnd)
 			}
@@ -201,7 +201,7 @@ func TestRetransmissionLossForcesTimeout(t *testing.T) {
 			n.loss.DropRetransmit(0, 40*1000)
 			n.start(t)
 			n.run(60 * time.Second)
-			if n.tr.Timeouts == 0 {
+			if n.sender.Timeouts() == 0 {
 				t.Fatal("no timeout despite lost retransmission")
 			}
 			if !n.sender.Done() {

@@ -409,6 +409,10 @@ func (b *Bus) Publish(ev Event) {
 	}
 }
 
+// Emit implements Sink by publishing ev, so one bus can subscribe to
+// another: a flow can put private sinks in front of a shared bus.
+func (b *Bus) Emit(ev Event) { b.Publish(ev) }
+
 // NullSink discards everything — the explicit form of the default.
 type NullSink struct{}
 

@@ -46,7 +46,7 @@ func TestRRPhaseEventSequence(t *testing.T) {
 	}
 	sched.Run(60 * time.Second)
 
-	if _, ok := flow.Trace.TransferDelay(); !ok {
+	if _, ok := flow.Sender.TransferDelay(); !ok {
 		t.Fatal("transfer did not finish")
 	}
 
@@ -102,7 +102,8 @@ func TestRRPhaseEventSequence(t *testing.T) {
 }
 
 // TestTelemetryMatchesTraceCounters cross-checks the event stream
-// against the legacy FlowTrace counters for the same run.
+// against the sender's own counters for the same run: each counter is
+// incremented exactly where its event is emitted.
 func TestTelemetryMatchesTraceCounters(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	loss := netem.NewSeqLoss(nil)
@@ -127,11 +128,19 @@ func TestTelemetryMatchesTraceCounters(t *testing.T) {
 	}
 	sched.Run(60 * time.Second)
 
-	if got := uint64(len(ring.EventsOf(telemetry.KRetransmit))); got != flow.Trace.Retransmits {
-		t.Fatalf("retransmit events %d != trace counter %d", got, flow.Trace.Retransmits)
-	}
-	if got := uint64(len(ring.EventsOf(telemetry.KTimeout))); got != flow.Trace.Timeouts {
-		t.Fatalf("timeout events %d != trace counter %d", got, flow.Trace.Timeouts)
+	snd := flow.Sender
+	for _, c := range []struct {
+		kind telemetry.Kind
+		n    uint32
+	}{
+		{telemetry.KSend, snd.Sends()},
+		{telemetry.KRetransmit, snd.Retransmits()},
+		{telemetry.KAck, snd.Acks()},
+		{telemetry.KTimeout, snd.Timeouts()},
+	} {
+		if got := len(ring.EventsOf(c.kind)); got != int(c.n) {
+			t.Fatalf("%v events %d != sender counter %d", c.kind, got, c.n)
+		}
 	}
 	sends := len(ring.EventsOf(telemetry.KSend))
 	if sends != 100 {

@@ -1,5 +1,5 @@
 // Package workload assembles complete TCP flows — sender, receiver,
-// trace, and FTP-style application data — onto a netem topology, and
+// and FTP-style application data — onto a netem topology, and
 // names the recovery variants the paper evaluates. It corresponds to
 // the ns-2 scenario scripts in the original study.
 package workload
@@ -14,7 +14,6 @@ import (
 	"rrtcp/internal/sim"
 	"rrtcp/internal/tcp"
 	"rrtcp/internal/telemetry"
-	"rrtcp/internal/trace"
 )
 
 // Kind selects a TCP loss-recovery variant.
@@ -139,12 +138,6 @@ type FlowSpec struct {
 	// Telemetry, when non-nil, receives the flow's structured events
 	// (sender, receiver, and recovery state machine).
 	Telemetry *telemetry.Bus
-	// NoTrace skips the per-flow FlowTrace ring entirely. Rings retain
-	// every event of the connection — O(events) memory per flow — which
-	// many-flow workloads replace with aggregate accounting (a
-	// flowstats.FlowTable on the Telemetry bus) plus its sampled
-	// exemplars.
-	NoTrace bool
 	// OnDone runs when the transfer completes.
 	OnDone func()
 }
@@ -154,7 +147,6 @@ type Flow struct {
 	Spec     FlowSpec
 	Sender   *tcp.Sender
 	Receiver *tcp.Receiver
-	Trace    *trace.FlowTrace
 }
 
 // NewStrategy instantiates the strategy for a spec.
@@ -192,43 +184,7 @@ func (s FlowSpec) NewStrategy() (tcp.Strategy, error) {
 // Install wires a flow into slot idx of the dumbbell and schedules its
 // start.
 func Install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
-	if spec.Bytes == 0 {
-		spec.Bytes = tcp.Infinite
-	}
-	strat, err := spec.NewStrategy()
-	if err != nil {
-		return nil, err
-	}
-	var tr *trace.FlowTrace // nil is a valid no-op trace
-	if !spec.NoTrace {
-		tr = trace.New(idx, spec.Kind.String())
-	}
-	recv := tcp.NewReceiver(sched, idx, d.ReceiverPort(idx), tr)
-	recv.SACKEnabled = spec.Kind.NeedsSACKReceiver()
-	recv.DelayedAck = spec.DelayedAck
-	recv.Telemetry = spec.Telemetry
-	recv.Pool = d.Pool()
-	snd, err := tcp.New(sched, d.SenderPort(idx), strat, tcp.Config{
-		Flow:            idx,
-		MSS:             spec.MSS,
-		Window:          spec.Window,
-		InitialSSThresh: spec.InitialSSThresh,
-		TotalBytes:      spec.Bytes,
-		SmoothStart:     spec.SmoothStart,
-		Trace:           tr,
-		Telemetry:       spec.Telemetry,
-		OnDone:          spec.OnDone,
-		Pool:            d.Pool(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("flow %d: %w", idx, err)
-	}
-	d.ConnectReceiver(idx, recv)
-	d.ConnectSender(idx, snd)
-	if err := snd.Start(spec.StartAt); err != nil {
-		return nil, fmt.Errorf("flow %d: %w", idx, err)
-	}
-	return &Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}, nil
+	return install(sched, d, idx, spec, false)
 }
 
 // InstallReverse wires a flow in the opposite direction: the sender
@@ -237,6 +193,22 @@ func Install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*
 // drop-tail gateways interleave data and ACKs (the ACK-compression
 // effects of Zhang, Shenker & Clark, SIGCOMM'91 — the paper's [22]).
 func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec) (*Flow, error) {
+	return install(sched, d, idx, spec, true)
+}
+
+// install builds one connection in slot idx. A forward flow's sender
+// sits at host S_idx and its receiver at K_idx; a reverse flow swaps
+// the two ends, so its data enters via ReceiverPort and its ACKs via
+// SenderPort.
+func install(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowSpec, reverse bool) (*Flow, error) {
+	dataPort, ackPort := d.SenderPort(idx), d.ReceiverPort(idx)
+	attachSender, attachRecv := d.ConnectSender, d.ConnectReceiver
+	what := "flow"
+	if reverse {
+		dataPort, ackPort = ackPort, dataPort
+		attachSender, attachRecv = attachRecv, attachSender
+		what = "reverse flow"
+	}
 	if spec.Bytes == 0 {
 		spec.Bytes = tcp.Infinite
 	}
@@ -244,39 +216,31 @@ func InstallReverse(sched *sim.Scheduler, d *netem.Dumbbell, idx int, spec FlowS
 	if err != nil {
 		return nil, err
 	}
-	var tr *trace.FlowTrace
-	if !spec.NoTrace {
-		tr = trace.New(idx, spec.Kind.String()+"-rev")
-	}
-	// The receiver lives at the S side: its ACKs enter via SenderPort.
-	recv := tcp.NewReceiver(sched, idx, d.SenderPort(idx), tr)
+	recv := tcp.NewReceiver(sched, idx, ackPort)
 	recv.SACKEnabled = spec.Kind.NeedsSACKReceiver()
 	recv.DelayedAck = spec.DelayedAck
 	recv.Telemetry = spec.Telemetry
 	recv.Pool = d.Pool()
-	// The sender lives at the K side: its data enters via ReceiverPort.
-	snd, err := tcp.New(sched, d.ReceiverPort(idx), strat, tcp.Config{
+	snd, err := tcp.New(sched, dataPort, strat, tcp.Config{
 		Flow:            idx,
 		MSS:             spec.MSS,
 		Window:          spec.Window,
 		InitialSSThresh: spec.InitialSSThresh,
 		TotalBytes:      spec.Bytes,
 		SmoothStart:     spec.SmoothStart,
-		Trace:           tr,
 		Telemetry:       spec.Telemetry,
 		OnDone:          spec.OnDone,
 		Pool:            d.Pool(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("reverse flow %d: %w", idx, err)
+		return nil, fmt.Errorf("%s %d: %w", what, idx, err)
 	}
-	// Data arrives at the S side; ACKs arrive back at the K side.
-	d.ConnectSender(idx, recv)
-	d.ConnectReceiver(idx, snd)
+	attachRecv(idx, recv)
+	attachSender(idx, snd)
 	if err := snd.Start(spec.StartAt); err != nil {
-		return nil, fmt.Errorf("reverse flow %d: %w", idx, err)
+		return nil, fmt.Errorf("%s %d: %w", what, idx, err)
 	}
-	return &Flow{Spec: spec, Sender: snd, Receiver: recv, Trace: tr}, nil
+	return &Flow{Spec: spec, Sender: snd, Receiver: recv}, nil
 }
 
 // InstallAll installs one flow per spec, in slot order.

@@ -193,8 +193,15 @@ func TestInstallReverseEndToEnd(t *testing.T) {
 	if f.Receiver.Delivered != 30*1000 {
 		t.Fatalf("delivered %d", f.Receiver.Delivered)
 	}
-	if f.Trace.Name != "rr-rev" {
-		t.Fatalf("trace name %q", f.Trace.Name)
+	// The ports are swapped: data leaves host K_0 through the port a
+	// forward flow's receiver ACKs into, and only ACKs leave host S_0.
+	dataPort := d.ReceiverPort(0).(*netem.Link)
+	ackPort := d.SenderPort(0).(*netem.Link)
+	if dataPort.TxBytes < 30*1000 {
+		t.Fatalf("data port carried %d bytes", dataPort.TxBytes)
+	}
+	if ackPort.TxPackets == 0 || ackPort.TxBytes != ackPort.TxPackets*uint64(f.Receiver.AckSize) {
+		t.Fatalf("ACK port carried %d packets, %d bytes", ackPort.TxPackets, ackPort.TxBytes)
 	}
 }
 

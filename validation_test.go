@@ -31,6 +31,23 @@ func baseRTT() float64 {
 	return fwd + rev
 }
 
+// runGoodput runs sched through to and returns each sender's effective
+// throughput over [from, to]: the bytes it newly acknowledged inside
+// the window, per second.
+func runGoodput(sched *rrtcp.Scheduler, from, to time.Duration, senders ...*rrtcp.Sender) []float64 {
+	sched.Run(from - 1)
+	before := make([]int64, len(senders))
+	for i, s := range senders {
+		before[i] = s.SndUna()
+	}
+	sched.Run(to)
+	out := make([]float64, len(senders))
+	for i, s := range senders {
+		out[i] = float64(s.SndUna()-before[i]) * 8 / (to - from).Seconds()
+	}
+	return out
+}
+
 // TestWindowLimitedThroughput pins the fundamental identity
 // throughput = window / RTT for a flow whose window is below the BDP:
 // no queueing, so the RTT is the propagation+transmission constant.
@@ -49,9 +66,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
-	sched.Run(60 * time.Second)
-
-	got := flow.Trace.GoodputBps(10*time.Second, 60*time.Second)
+	got := runGoodput(sched, 10*time.Second, 60*time.Second, flow.Sender)[0]
 	want := window * 1000 * 8 / baseRTT()
 	if ratio := got / want; ratio < 0.97 || ratio > 1.03 {
 		t.Fatalf("throughput %f, analytic %f (ratio %f)", got, want, ratio)
@@ -79,9 +94,7 @@ func TestBottleneckLimitedThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
-	sched.Run(60 * time.Second)
-
-	got := flow.Trace.GoodputBps(10*time.Second, 60*time.Second)
+	got := runGoodput(sched, 10*time.Second, 60*time.Second, flow.Sender)[0]
 	if ratio := got / 0.8e6; ratio < 0.97 || ratio > 1.001 {
 		t.Fatalf("saturated goodput %f, want ~0.8 Mbps (ratio %f)", got, ratio)
 	}
@@ -143,9 +156,8 @@ func TestTwoFlowSharing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("install: %v", err)
 		}
-		sched.Run(120 * time.Second)
-		return flows[0].Trace.GoodputBps(20*time.Second, 120*time.Second),
-			flows[1].Trace.GoodputBps(20*time.Second, 120*time.Second)
+		g := runGoodput(sched, 20*time.Second, 120*time.Second, flows[0].Sender, flows[1].Sender)
+		return g[0], g[1]
 	}
 
 	// Drop-tail: both flows alive and the link near capacity; sharing
@@ -192,7 +204,7 @@ func TestLossRateMatchesConfigured(t *testing.T) {
 		t.Fatalf("install: %v", err)
 	}
 	sched.Run(120 * time.Second)
-	measured := flow.Trace.LossRate()
+	measured := flow.Sender.LossRate()
 	if math.Abs(measured-0.02) > 0.01 {
 		t.Fatalf("measured loss rate %f, configured 0.02", measured)
 	}
