@@ -8,22 +8,17 @@ import (
 	"rrtcp/internal/sim"
 )
 
-// chain schedules a self-rescheduling event n times on s.
-func chain(t *testing.T, s *sim.Scheduler, n int) {
-	t.Helper()
+// chain arms a self-re-arming timer that fires n times on s.
+func chain(s *sim.Scheduler, n int) {
 	left := n
-	var tick func()
-	tick = func() {
+	var tm *sim.Timer
+	tm = s.NewTimer(func() {
 		left--
 		if left > 0 {
-			if _, err := s.Schedule(time.Millisecond, tick); err != nil {
-				t.Fatal(err)
-			}
+			tm.Reset(time.Millisecond)
 		}
-	}
-	if _, err := s.Schedule(0, tick); err != nil {
-		t.Fatal(err)
-	}
+	})
+	tm.Reset(0)
 }
 
 // TestGlobalCountersFlushRemainder checks the batched event counter:
@@ -35,7 +30,7 @@ func TestGlobalCountersFlushRemainder(t *testing.T) {
 	const n = 100 // well under the flush interval
 	before, _ := sim.GlobalCounters()
 	s := sim.NewScheduler(1)
-	chain(t, s, n)
+	chain(s, n)
 	s.RunAll()
 	after, _ := sim.GlobalCounters()
 	if got := after - before; got < n {
@@ -52,7 +47,7 @@ func TestGlobalCountersBatchBoundary(t *testing.T) {
 	const n = sim.GlobalFlushEvery + sim.GlobalFlushEvery/2
 	before, _ := sim.GlobalCounters()
 	s := sim.NewScheduler(2)
-	chain(t, s, n)
+	chain(s, n)
 	s.RunAll()
 	after, _ := sim.GlobalCounters()
 	if got := after - before; got < n {

@@ -45,10 +45,10 @@ type refTimer struct {
 }
 
 // TestHeapMatchesReferenceOrder drives random operations through every
-// arming path — the deprecated Schedule/At shims, Timer.At on timers of
-// both classes (in-place re-keys included), Scheduler.ReserveSeq with a
-// later Timer.AtSeq, cancels, stops, and partial runs that fire events
-// and recycle one-shot slots — and checks that events fire in exactly
+// arming path — fresh one-shot timers, Timer.At on timers of both
+// classes (in-place re-keys included), Scheduler.ReserveSeq with a
+// later Timer.AtSeq, stops, and partial runs that fire events — and
+// checks that events fire in exactly
 // the (time, sequence) order a reference container/heap implementation
 // pops them. This is the determinism contract the experiment goldens
 // depend on: splitting timers into per-class heaps and arming at
@@ -66,15 +66,10 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 		live := map[int]refEntry{}
 		nextID := 0
 
-		type oneShot struct {
-			ev *Event
-			id int
-		}
-		var shots []oneShot
 		var timers []*refTimer
 		owner := map[int]*refTimer{} // timer expiry id -> its timer
 		var reserved []uint64        // reserved sequence numbers not yet used
-		recycled, deadlineFires := 0, 0
+		deadlineFires := 0
 
 		// arm records a new pending expiry of ta under key (at, sq).
 		arm := func(ta *refTimer, at Time, sq uint64) {
@@ -93,26 +88,10 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 
 		for i := 0; i < ops; i++ {
 			switch k := rng.Intn(20); {
-			case k < 6: // deprecated one-shot At
-				id := nextID
-				nextID++
-				at := future()
-				if s.freeHead >= 0 {
-					recycled++
-				}
-				ev, err := s.At(at, func() { got = append(got, id) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c := s.slots[ev.idx].class; c != classDefault {
-					t.Fatalf("trial %d: one-shot slot %d in class %d, want the default class", trial, ev.idx, c)
-				}
-				live[id] = refEntry{at: at, seq: seq, id: id}
-				seq++
-				shots = append(shots, oneShot{ev: ev, id: id})
 			case k < 11: // arm (or re-arm in place) a timer of either class
+				// A fresh timer armed once is the one-shot idiom.
 				var ta *refTimer
-				if len(timers) == 0 || rng.Intn(4) == 0 {
+				if len(timers) == 0 || k < 6 || rng.Intn(4) == 0 {
 					ta = &refTimer{id: -1}
 					fire := func() {
 						got = append(got, ta.firing)
@@ -159,12 +138,7 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				arm(ta, at, sq)
-			case k < 17 && len(shots) > 0: // cancel a one-shot (maybe already fired)
-				j := rng.Intn(len(shots))
-				s.Cancel(shots[j].ev)
-				delete(live, shots[j].id)
-				shots = append(shots[:j], shots[j+1:]...)
-			case k < 18 && len(timers) > 0: // stop a timer
+			case k < 18 && len(timers) > 0: // stop a timer (maybe already fired)
 				ta := timers[rng.Intn(len(timers))]
 				ta.tm.Stop()
 				if ta.id >= 0 {
@@ -192,9 +166,8 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 					trial, i, got[i], want[i])
 			}
 		}
-		if recycled == 0 || deadlineFires == 0 {
-			t.Fatalf("trial %d: recycled %d one-shot slots, fired %d deadline timers; want both > 0",
-				trial, recycled, deadlineFires)
+		if deadlineFires == 0 {
+			t.Fatalf("trial %d: no deadline timer fired", trial)
 		}
 	}
 }
@@ -248,7 +221,7 @@ func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 
 // TestRekeyWhileArmedZeroAlloc covers the Reset-while-armed fast path
 // (the retransmission-timer pattern): the pending entry is re-keyed in
-// place without touching the free list.
+// place.
 func TestRekeyWhileArmedZeroAlloc(t *testing.T) {
 	s := NewScheduler(1)
 	tm := s.NewTimer(func() {})

@@ -1,10 +1,10 @@
 // Package flowstats is the flow-scale analytics layer: a telemetry
 // sink that turns the event bus into flow-level results at any flow
-// count. Where the per-flow FlowTrace rings retain every event of every
-// connection (O(events) memory, fine for paper-scale dumbbells), a
-// FlowTable keeps O(1) aggregate state per live flow and folds
-// completed flows into per-variant log-bucketed histograms of flow
-// completion time, goodput, and retransmissions — plus a seeded
+// count. Where a ring retains every event of every connection
+// (O(events) memory, fine for paper-scale dumbbells), a FlowTable
+// keeps O(1) aggregate state per live flow and folds completed flows
+// into per-variant log-bucketed histograms of flow completion time,
+// goodput, and retransmissions — plus a seeded
 // reservoir of K "exemplar" flows that do retain full event detail, so
 // a million-flow run still yields a handful of fully-inspectable
 // connections.

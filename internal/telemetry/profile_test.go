@@ -12,18 +12,14 @@ import (
 func spinChain(t *testing.T, sched *sim.Scheduler, n int) {
 	t.Helper()
 	fired := 0
-	var tick func()
-	tick = func() {
+	var tick *sim.Timer
+	tick = sched.NewTimer(func() {
 		fired++
 		if fired < n {
-			if _, err := sched.Schedule(time.Millisecond, tick); err != nil {
-				t.Fatalf("schedule: %v", err)
-			}
+			tick.Reset(time.Millisecond)
 		}
-	}
-	if _, err := sched.Schedule(0, tick); err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
+	})
+	tick.Reset(0)
 	sched.RunAll()
 	if fired != n {
 		t.Fatalf("chain fired %d events, want %d", fired, n)
