@@ -285,7 +285,7 @@ func NewChaosExperiment(cfg ChaosConfig) *ChaosExperiment {
 	cfg.fillDefaults()
 	master := rand.New(rand.NewSource(cfg.Seed))
 	dcfg := netem.PaperDropTailConfig(1)
-	e := &ChaosExperiment{cfg: cfg}
+	e := &ChaosExperiment{cfg: cfg, cases: make([]ChaosCase, 0, cfg.Schedules*len(cfg.Variants))}
 	for s := 0; s < cfg.Schedules; s++ {
 		plan := faults.RandomPlanSpec(master, cfg.Horizon, dcfg)
 		caseSeed := master.Int63()
@@ -332,7 +332,10 @@ func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 	cfg := e.cfg
 	variants := len(cfg.Variants)
 	jobs := make([]sweep.Job, len(e.cases))
-	for i, c := range e.cases {
+	for i := range e.cases {
+		// Jobs point into e.cases, which is never modified after
+		// construction, rather than each capturing a copy.
+		c := &e.cases[i]
 		jobs[i] = sweep.Job{
 			Name: fmt.Sprintf("s%d %s", i/variants, c.Variant),
 			Seed: c.Seed,
@@ -346,7 +349,7 @@ func (e *ChaosExperiment) Jobs() ([]sweep.Job, error) {
 					})
 					extra = append(extra, table)
 				}
-				out, err := runChaosCase(c, extra)
+				out, err := runChaosCase(*c, extra)
 				if err != nil {
 					return nil, fmt.Errorf("chaos: schedule %d, %s: %w", i/variants, c.Variant, err)
 				}
