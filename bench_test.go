@@ -59,10 +59,11 @@ func BenchmarkFigure5Drop8(b *testing.B) { benchFigure5(b, 8) }
 
 // --- telemetry overhead ---
 //
-// The three benchmarks below quantify what the observability layer
-// costs a Figure 5 run: nothing attached (the shipping default, one nil
-// check per event site), a bus draining into the NDJSON encoder, and a
-// bus retaining events in memory.
+// The benchmarks below quantify what the observability layer costs a
+// Figure 5 run: nothing attached (the shipping default, one nil check
+// per event site), a bus draining into the NDJSON encoder, a bus
+// retaining events in memory, a flow table, and the full observed sink
+// set.
 
 func benchFigure5Telemetry(b *testing.B, mkBus func() *rrtcp.TelemetryBus) {
 	b.Helper()
@@ -97,6 +98,19 @@ func BenchmarkFigure5RingSink(b *testing.B) {
 func BenchmarkFigure5FlowTableSink(b *testing.B) {
 	benchFigure5Telemetry(b, func() *rrtcp.TelemetryBus {
 		return rrtcp.NewTelemetryBus(rrtcp.NewFlowTable(rrtcp.FlowStatsConfig{Exemplars: 2}))
+	})
+}
+
+// BenchmarkFigure5ObservedSinks is the observed run of perfbench's
+// observed-fig5 workload: NDJSON, a FlowTable and a SpanSink on one
+// bus. Its ratio to BenchmarkFigure5NullSink is the cost of observing.
+func BenchmarkFigure5ObservedSinks(b *testing.B) {
+	benchFigure5Telemetry(b, func() *rrtcp.TelemetryBus {
+		return rrtcp.NewTelemetryBus(
+			rrtcp.NewNDJSONSink(io.Discard),
+			rrtcp.NewFlowTable(rrtcp.FlowStatsConfig{}),
+			rrtcp.NewSpanSink(),
+		)
 	})
 }
 

@@ -142,9 +142,9 @@ func Figure5(cfg Figure5Config) (*Figure5Result, error) {
 
 // Figure5Experiment adapts the burst-loss comparison to the Experiment
 // interface: one job per variant. When the config carries a telemetry
-// bus, each job captures its event stream into a private ring and
-// Reduce republishes the streams in variant order — the bus itself is
-// never touched from a worker goroutine.
+// bus, each job captures its event stream into private fixed-size
+// chunks and Reduce republishes the streams in variant order — the bus
+// itself is never touched from a worker goroutine.
 type Figure5Experiment struct {
 	cfg Figure5Config
 }
@@ -162,8 +162,67 @@ func (e *Figure5Experiment) Name() string { return "fig5" }
 // and, when flow analytics are on, the variant's flow summary.
 type figure5Out struct {
 	Row    Figure5Row
-	Events []telemetry.Event
+	Events *eventCapture
 	Flow   *flowstats.Summary `json:",omitempty"`
+}
+
+// captureChunk is how many events one capture chunk holds: 256 events
+// of 64 bytes are 16 KiB, a small-object size class. A growing buffer
+// would instead pay for doubling copies and large-object clearing.
+const captureChunk = 256
+
+// eventCapture is one job's captured event stream, kept as a list of
+// fixed-size chunks. In a checkpoint journal it is the flat event array
+// a []telemetry.Event marshals to, so journals written before and after
+// chunking resume alike.
+type eventCapture struct {
+	chunks [][]telemetry.Event
+}
+
+// Emit implements telemetry.Sink.
+func (c *eventCapture) Emit(ev telemetry.Event) {
+	n := len(c.chunks)
+	if n == 0 || len(c.chunks[n-1]) == cap(c.chunks[n-1]) {
+		c.chunks = append(c.chunks, make([]telemetry.Event, 0, captureChunk))
+		n++
+	}
+	c.chunks[n-1] = append(c.chunks[n-1], ev)
+}
+
+// replay publishes the captured events in order, dropping each chunk
+// once published so the reduce frees memory as it goes.
+func (c *eventCapture) replay(bus *telemetry.Bus) {
+	for i, chunk := range c.chunks {
+		for _, ev := range chunk {
+			bus.Publish(ev)
+		}
+		c.chunks[i] = nil
+	}
+	c.chunks = nil
+}
+
+// MarshalJSON implements json.Marshaler with the flat event array.
+func (c *eventCapture) MarshalJSON() ([]byte, error) {
+	n := 0
+	for _, chunk := range c.chunks {
+		n += len(chunk)
+	}
+	flat := make([]telemetry.Event, 0, n)
+	for _, chunk := range c.chunks {
+		flat = append(flat, chunk...)
+	}
+	return json.Marshal(flat)
+}
+
+// UnmarshalJSON implements json.Unmarshaler; the decoded array becomes
+// a single chunk.
+func (c *eventCapture) UnmarshalJSON(data []byte) error {
+	var flat []telemetry.Event
+	if err := json.Unmarshal(data, &flat); err != nil {
+		return err
+	}
+	c.chunks = [][]telemetry.Event{flat}
+	return nil
 }
 
 // DecodeResult implements ResultCodec: it reconstructs one job's
@@ -189,12 +248,12 @@ func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
 			Name: kind.String(),
 			Seed: cfg.Seed,
 			Run: func(int64) (any, error) {
-				var ring *telemetry.Ring
+				var events *eventCapture
 				var table *flowstats.FlowTable
 				var sinks []telemetry.Sink
 				if capture {
-					ring = telemetry.NewRing(0)
-					sinks = append(sinks, ring)
+					events = &eventCapture{}
+					sinks = append(sinks, events)
 				}
 				if cfg.FlowStats {
 					table = flowstats.New(flowstats.Config{
@@ -211,10 +270,7 @@ func (e *Figure5Experiment) Jobs() ([]sweep.Job, error) {
 				if err != nil {
 					return nil, fmt.Errorf("figure 5 (%v): %w", kind, err)
 				}
-				out := figure5Out{Row: row}
-				if ring != nil {
-					out.Events = ring.Events()
-				}
+				out := figure5Out{Row: row, Events: events}
 				if table != nil {
 					table.Finalize()
 					s := table.Summary()
@@ -237,8 +293,8 @@ func (e *Figure5Experiment) Reduce(results []any) (Renderable, error) {
 	res := &Figure5Result{Config: e.cfg}
 	for _, out := range outs {
 		res.Rows = append(res.Rows, out.Row)
-		for _, ev := range out.Events {
-			e.cfg.Telemetry.Publish(ev)
+		if out.Events != nil {
+			out.Events.replay(e.cfg.Telemetry)
 		}
 		if out.Flow != nil {
 			if res.Flows == nil {

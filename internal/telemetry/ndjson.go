@@ -47,7 +47,7 @@ func (n *NDJSONSink) Emit(ev Event) {
 	}
 	b := n.buf[:0]
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, ev.At.Seconds(), 'f', 9, 64)
+	b = appendSeconds(b, ev.At)
 	b = append(b, `,"comp":"`...)
 	b = append(b, ev.Comp.String()...)
 	b = append(b, `","kind":"`...)
@@ -83,6 +83,33 @@ func (n *NDJSONSink) Emit(ev Event) {
 	if _, err := n.w.Write(b); err != nil {
 		n.err = err
 	}
+}
+
+// exactSecondsLimit bounds the instants appendSeconds writes from their
+// integer nanoseconds. Below it, t.Seconds() is within a quarter
+// nanosecond of the exact value, so rounding it to 9 decimals (what
+// AppendFloat does) yields exactly the integer's digits; 2^50 ns is
+// about 13 days of sim time.
+const exactSecondsLimit = sim.Time(1) << 50
+
+// appendSeconds appends t in seconds with 9 decimals, byte-identical to
+// strconv.AppendFloat(b, t.Seconds(), 'f', 9, 64). A fixed-precision
+// 'f' format always takes strconv's slow arbitrary-precision path, so
+// the common case writes the integer nanoseconds instead: whole
+// seconds, '.', then 9 zero-padded digits. Negative and very large
+// instants fall back to AppendFloat.
+func appendSeconds(b []byte, t sim.Time) []byte {
+	if t < 0 || t >= exactSecondsLimit {
+		return strconv.AppendFloat(b, t.Seconds(), 'f', 9, 64)
+	}
+	ns := int64(t)
+	b = strconv.AppendInt(b, ns/1e9, 10)
+	// 1e9 + the fraction is "1" then the 9 padded digits; the "1"
+	// becomes the decimal point.
+	dot := len(b)
+	b = strconv.AppendInt(b, 1e9+ns%1e9, 10)
+	b[dot] = '.'
+	return b
 }
 
 // appendJSONString appends s as a JSON string; instance names are plain

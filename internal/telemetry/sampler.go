@@ -30,19 +30,17 @@ type Sampler struct {
 	every sim.Time
 	timer *sim.Timer
 
-	flows []samplerFlow
-	insts []samplerInst
+	now   sim.Time // the instant of the tick in progress
+	flows []samplerSource
+	insts []samplerSource
 }
 
-type samplerFlow struct {
-	flow int32
+// samplerSource binds a source's emit callback once, at registration,
+// so a tick allocates nothing: no closure per source and no label
+// concatenation per sample.
+type samplerSource struct {
 	src  GaugeSource
-}
-
-type samplerInst struct {
-	comp  Component
-	label string
-	src   GaugeSource
+	emit func(gauge string, v float64)
 }
 
 // NewSampler returns a sampler ticking every `every` of sim time, or
@@ -60,7 +58,10 @@ func (s *Sampler) AddFlow(flow int32, src GaugeSource) {
 	if s == nil || src == nil {
 		return
 	}
-	s.flows = append(s.flows, samplerFlow{flow: flow, src: src})
+	emit := func(gauge string, v float64) {
+		s.bus.Publish(Event{At: s.now, Comp: CompSender, Kind: KSample, Src: gauge, Flow: flow, A: v})
+	}
+	s.flows = append(s.flows, samplerSource{src: src, emit: emit})
 }
 
 // AddInstance registers an instance-scoped source (a queue); gauges are
@@ -69,7 +70,16 @@ func (s *Sampler) AddInstance(comp Component, label string, src GaugeSource) {
 	if s == nil || src == nil {
 		return
 	}
-	s.insts = append(s.insts, samplerInst{comp: comp, label: label, src: src})
+	labels := make(map[string]string) // gauge -> "<label>.<gauge>"
+	emit := func(gauge string, v float64) {
+		name, ok := labels[gauge]
+		if !ok {
+			name = label + "." + gauge
+			labels[gauge] = name
+		}
+		s.bus.Publish(Event{At: s.now, Comp: comp, Kind: KSample, Src: name, Flow: NoFlow, A: v})
+	}
+	s.insts = append(s.insts, samplerSource{src: src, emit: emit})
 }
 
 // Start schedules the first tick one interval from now. Ticking stops
@@ -90,16 +100,12 @@ func (s *Sampler) schedule() {
 }
 
 func (s *Sampler) tick() {
-	now := s.sched.Now()
+	s.now = s.sched.Now()
 	for _, f := range s.flows {
-		f.src.SampleGauges(func(gauge string, v float64) {
-			s.bus.Publish(Event{At: now, Comp: CompSender, Kind: KSample, Src: gauge, Flow: f.flow, A: v})
-		})
+		f.src.SampleGauges(f.emit)
 	}
 	for _, in := range s.insts {
-		in.src.SampleGauges(func(gauge string, v float64) {
-			s.bus.Publish(Event{At: now, Comp: in.comp, Kind: KSample, Src: in.label + "." + gauge, Flow: NoFlow, A: v})
-		})
+		in.src.SampleGauges(in.emit)
 	}
 	if s.done() {
 		return

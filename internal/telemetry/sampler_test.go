@@ -150,3 +150,24 @@ func TestWriteSeriesCSV(t *testing.T) {
 		t.Fatalf("csv:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
+
+// countSink counts events without retaining them.
+type countSink struct{ n int }
+
+func (c *countSink) Emit(Event) { c.n++ }
+
+func TestSamplerTickAllocsNothing(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	sink := &countSink{}
+	s := NewSampler(sched, NewBus(sink), 10*time.Millisecond)
+	s.AddFlow(0, &fakeGauges{cwnd: 1, doneAt: 1 << 30})
+	s.AddInstance(CompQueue, "fwd", queueGauge{})
+	s.Start()
+	s.tick() // warm-up: builds the instance label and arms the timer
+	if allocs := testing.AllocsPerRun(100, s.tick); allocs != 0 {
+		t.Fatalf("a sampler tick allocated %v times, want 0", allocs)
+	}
+	if want := 3 * 102; sink.n != want { // 2 flow gauges + 1 queue gauge per tick
+		t.Fatalf("published %d samples, want %d", sink.n, want)
+	}
+}
